@@ -119,7 +119,9 @@ impl RunnerConfig {
     ///
     /// Returns [`UntangleError::InvalidConfig`] unless `0 < scale <= 1`
     /// (NaN included), so sweep drivers can record a bad grid point and
-    /// move on instead of aborting the whole sweep.
+    /// move on instead of aborting the whole sweep. Scales so small that
+    /// the progress interval or the measured slice rounds to zero
+    /// instructions (below 1.25e-7) are rejected the same way.
     pub fn eval_scale(kind: SchemeKind, scale: f64) -> Result<Self, UntangleError> {
         if !(scale > 0.0 && scale <= 1.0) {
             return Err(UntangleError::InvalidConfig(format!(
@@ -131,6 +133,14 @@ impl RunnerConfig {
             ..MachineConfig::default()
         };
         let mut params = SchemeParams::scaled(scale);
+        let slice_instrs = (500_000_000.0 * scale) as u64;
+        if params.progress_interval_instrs == 0 || slice_instrs == 0 {
+            return Err(UntangleError::InvalidConfig(format!(
+                "evaluation scale {scale} rounds the progress interval \
+                 ({} instructions) or the slice ({slice_instrs} instructions) to zero",
+                params.progress_interval_instrs
+            )));
+        }
         // Only act on a mostly-full monitor window: a cold window is all
         // compulsory misses and would trigger bogus shrinks.
         params.heuristic.min_window_fill = machine.umon_window / 2;
@@ -138,7 +148,7 @@ impl RunnerConfig {
             machine,
             kind,
             params,
-            slice_instrs: (500_000_000.0 * scale) as u64,
+            slice_instrs,
             warmup_cycles: 10_000_000.0 * scale,
             warmup_instrs: None,
             sample_interval_cycles: 200_000.0 * scale,
@@ -294,8 +304,9 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// * [`UntangleError::InvalidConfig`] — no sources, or the initial
-    ///   partitions oversubscribe the LLC.
+    /// * [`UntangleError::InvalidConfig`] — no sources, the initial
+    ///   partitions oversubscribe the LLC, or an Untangle run with a
+    ///   zero progress interval.
     /// * Any `untangle-info` error from the `R_max` rate-model build
     ///   (Untangle scheme only), converted via `From<InfoError>`.
     pub fn new(
@@ -320,6 +331,11 @@ impl Runner {
                 config.initial_partition.bytes(),
                 config.machine.llc_bytes
             )));
+        }
+        if config.kind == SchemeKind::Untangle && config.params.progress_interval_instrs == 0 {
+            return Err(UntangleError::InvalidConfig(
+                "Untangle's progress interval must be at least one instruction".to_string(),
+            ));
         }
         let mut system = System::new(config.machine.clone(), domains, mode);
         for d in 0..domains {
@@ -714,11 +730,21 @@ mod tests {
             Runner::new(config, sources),
             Err(UntangleError::InvalidConfig(_))
         ));
+
+        // A zero progress interval: an error, not a panic in the
+        // progress schedule.
+        let mut config = RunnerConfig::eval_scale(SchemeKind::Untangle, 1.3e-7).unwrap();
+        config.params.progress_interval_instrs = 0;
+        assert!(matches!(
+            Runner::new(config, vec![ws_source(1 << 20, 1)]),
+            Err(UntangleError::InvalidConfig(_))
+        ));
     }
 
     #[test]
     fn eval_scale_rejects_out_of_range_scales() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+        // 1.2e-7 is in range but rounds the progress interval to zero.
+        for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY, 1.2e-7, 1e-9] {
             assert!(matches!(
                 RunnerConfig::eval_scale(SchemeKind::Untangle, bad),
                 Err(UntangleError::InvalidConfig(_))
@@ -726,6 +752,9 @@ mod tests {
         }
         let ok = RunnerConfig::eval_scale(SchemeKind::Untangle, 0.001).unwrap();
         assert!(ok.slice_instrs > 0);
+        let smallest = RunnerConfig::eval_scale(SchemeKind::Untangle, 1.3e-7).unwrap();
+        assert_eq!(smallest.params.progress_interval_instrs, 1);
+        assert!(Runner::new(smallest, vec![ws_source(1 << 20, 1)]).is_ok());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Set-associative, tag-only cache model with true-LRU replacement.
+//! Set-associative, tag-only cache model with true-LRU replacement,
+//! stored as recency-ordered tag sets.
 //!
 //! One model serves every cache in the system: private L1s, per-domain
 //! LLC partitions, the shared LLC of the insecure baseline, and the
@@ -25,17 +26,10 @@ impl AccessOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    /// Full line index; `u64::MAX` marks an invalid way.
-    tag: u64,
-    /// Monotonic timestamp of last touch (for LRU).
-    last_used: u64,
-}
-
+/// Tag of an invalid way. Line index `u64::MAX` is reserved for it.
 const INVALID: u64 = u64::MAX;
 
-/// A set-associative cache holding line tags with LRU replacement.
+/// A set-associative cache holding line tags with true-LRU replacement.
 ///
 /// Addresses are mapped to a *home set* `h = line_index % geometry.sets`.
 /// When the cache is resized to use only its first `k` sets (set
@@ -44,6 +38,23 @@ const INVALID: u64 = u64::MAX;
 /// like real set repartitioning: growing exposes cold sets and
 /// shrinking surrenders sets, but the content of retained sets is
 /// never displaced by remapping.
+///
+/// # Layout
+///
+/// The state is one flat array of `sets × ways` line tags, eight bytes
+/// per way, with no per-way timestamp. Each set's tags are kept in
+/// recency order: most recently used first, invalid ways last. A hit
+/// moves its tag to the front and shifts the ways before it back by
+/// one; a miss shifts the whole set back by one, dropping the last way,
+/// and writes the new tag at the front. The way dropped is an invalid
+/// one while the set has any, and the least recently used line
+/// otherwise, which is exactly true LRU with invalid ways filled first.
+/// Ways are invalidated only a whole set at a time (by
+/// [`SetAssocCache::resize_sets`] and [`SetAssocCache::invalidate_all`]),
+/// so invalid ways never sit in front of valid ones.
+///
+/// Line index `u64::MAX` is reserved as the invalid marker and must not
+/// be accessed.
 ///
 /// # Example
 ///
@@ -63,8 +74,9 @@ pub struct SetAssocCache {
     /// partitioning, where a domain's share of the LLC grows and
     /// shrinks at runtime.
     effective_sets: usize,
-    ways: Vec<Way>,
-    clock: u64,
+    /// `geometry.ways` tags per set, each set in recency order (see
+    /// type docs).
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -83,14 +95,7 @@ impl SetAssocCache {
         Self {
             geometry,
             effective_sets: geometry.sets,
-            ways: vec![
-                Way {
-                    tag: INVALID,
-                    last_used: 0,
-                };
-                geometry.sets * geometry.ways
-            ],
-            clock: 0,
+            tags: vec![INVALID; geometry.sets * geometry.ways],
             hits: 0,
             misses: 0,
         }
@@ -123,74 +128,58 @@ impl SetAssocCache {
             self.geometry.sets
         );
         if sets < self.effective_sets {
-            for w in
-                &mut self.ways[sets * self.geometry.ways..self.effective_sets * self.geometry.ways]
-            {
-                w.tag = INVALID;
-                w.last_used = 0;
-            }
+            let ways = self.geometry.ways;
+            self.tags[sets * ways..self.effective_sets * ways].fill(INVALID);
         }
         self.effective_sets = sets;
     }
 
-    /// Home-set mapping with folding for surrendered sets (see type
-    /// docs).
+    /// The range of `tags` holding the set `line` maps to now: its home
+    /// set, or the fold of a surrendered home set (see type docs).
     #[inline]
-    fn map_set(&self, line: u64) -> usize {
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
         let home = (line % self.geometry.sets as u64) as usize;
-        if home < self.effective_sets {
+        let set = if home < self.effective_sets {
             home
         } else {
             home % self.effective_sets
-        }
+        };
+        set * self.geometry.ways..(set + 1) * self.geometry.ways
     }
 
     /// Accesses `addr`: on a hit refreshes LRU state, on a miss fills the
     /// line, evicting the least recently used way of the set.
     pub fn access(&mut self, addr: LineAddr) -> AccessOutcome {
-        self.clock += 1;
         let line = addr.line_index();
-        let set = self.map_set(line);
-        let base = set * self.geometry.ways;
-        let set_ways = &mut self.ways[base..base + self.geometry.ways];
-
-        // Hit path.
-        for w in set_ways.iter_mut() {
-            if w.tag == line {
-                w.last_used = self.clock;
-                self.hits += 1;
-                return AccessOutcome::Hit;
-            }
+        let range = self.set_of(line);
+        let set = &mut self.tags[range];
+        let hit_way = set.iter().position(|&t| t == line);
+        // Shift the ways in front of the hit way (or, on a miss, every
+        // way but the last, which drops out) back by one, and put
+        // `line` at the front.
+        let end = hit_way.unwrap_or(set.len() - 1);
+        set.copy_within(..end, 1);
+        set[0] = line;
+        if hit_way.is_some() {
+            self.hits += 1;
+            AccessOutcome::Hit
+        } else {
+            self.misses += 1;
+            AccessOutcome::Miss
         }
-        // Miss: fill into invalid or LRU way.
-        let victim = set_ways
-            .iter_mut()
-            .min_by_key(|w| if w.tag == INVALID { 0 } else { w.last_used })
-            .expect("ways > 0");
-        victim.tag = line;
-        victim.last_used = self.clock;
-        self.misses += 1;
-        AccessOutcome::Miss
     }
 
     /// Whether `addr` is currently present, without touching LRU state or
     /// counters.
     pub fn probe(&self, addr: LineAddr) -> bool {
         let line = addr.line_index();
-        let set = self.map_set(line);
-        let base = set * self.geometry.ways;
-        self.ways[base..base + self.geometry.ways]
-            .iter()
-            .any(|w| w.tag == line)
+        self.tags[self.set_of(line)].contains(&line)
     }
 
     /// Invalidates every line (used when a model requires a cold
     /// restart; resizes do *not* flush — see `system`).
     pub fn invalidate_all(&mut self) {
-        for w in &mut self.ways {
-            w.tag = INVALID;
-            w.last_used = 0;
-        }
+        self.tags.fill(INVALID);
     }
 
     /// Lifetime hit count.
@@ -216,7 +205,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently cached.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.tag != INVALID).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 }
 

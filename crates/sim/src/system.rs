@@ -35,19 +35,27 @@ pub struct RetireEvent {
     pub cycles: f64,
 }
 
+/// The LLC's storage; only the organization in use is allocated.
+#[derive(Debug, Clone)]
+enum Llc {
+    /// One partition per domain, allocated at the maximum supported
+    /// size and resized via effective sets.
+    Partitioned(Vec<SetAssocCache>),
+    /// The single cache all domains share.
+    Shared(SetAssocCache),
+}
+
 /// The simulated machine. See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct System {
     machine: MachineConfig,
-    mode: LlcMode,
     l1s: Vec<SetAssocCache>,
-    /// Per-domain LLC partitions (allocated at the maximum supported
-    /// size, resized via effective sets). Unused in shared mode.
-    partitions: Vec<SetAssocCache>,
+    llc: Llc,
     partition_sizes: Vec<PartitionSize>,
-    /// The single shared LLC. Unused in partitioned mode.
-    shared: SetAssocCache,
     timing: Vec<CoreTiming>,
+    /// Per-domain statistics; `cycles` mirrors `timing` after every
+    /// step and stall, so the laggard scan reads it without going
+    /// through the timing model.
     stats: Vec<DomainStats>,
 }
 
@@ -65,28 +73,33 @@ impl System {
             "domains must be in 1..={}",
             machine.cores
         );
-        let max_geometry = machine.partition_geometry(PartitionSize::MB8);
         let initial = PartitionSize::MB2;
-        let partitions: Vec<SetAssocCache> = (0..domains)
-            .map(|_| {
-                let mut c = SetAssocCache::new(max_geometry);
-                c.resize_sets(initial.sets(machine.llc_ways));
-                c
-            })
-            .collect();
+        let llc = match mode {
+            LlcMode::Partitioned => {
+                let max_geometry = machine.partition_geometry(PartitionSize::MB8);
+                Llc::Partitioned(
+                    (0..domains)
+                        .map(|_| {
+                            let mut c = SetAssocCache::new(max_geometry);
+                            c.resize_sets(initial.sets(machine.llc_ways));
+                            c
+                        })
+                        .collect(),
+                )
+            }
+            LlcMode::Shared => Llc::Shared(SetAssocCache::new(machine.llc_geometry())),
+        };
         Self {
             l1s: (0..domains)
                 .map(|_| SetAssocCache::new(machine.l1_geometry()))
                 .collect(),
-            partitions,
+            llc,
             partition_sizes: vec![initial; domains],
-            shared: SetAssocCache::new(machine.llc_geometry()),
             timing: (0..domains)
                 .map(|_| CoreTiming::new(machine.timing))
                 .collect(),
             stats: vec![DomainStats::default(); domains],
             machine,
-            mode,
         }
     }
 
@@ -97,7 +110,10 @@ impl System {
 
     /// The LLC organization.
     pub fn mode(&self) -> LlcMode {
-        self.mode
+        match self.llc {
+            Llc::Partitioned(_) => LlcMode::Partitioned,
+            Llc::Shared(_) => LlcMode::Shared,
+        }
     }
 
     /// Number of simulated domains.
@@ -120,11 +136,11 @@ impl System {
                 self.stats[domain].l1_hits += 1;
                 ServiceLevel::L1
             } else {
-                let llc_hit = match self.mode {
-                    LlcMode::Partitioned => self.partitions[domain].access(access.addr).is_hit(),
-                    LlcMode::Shared => self.shared.access(access.addr).is_hit(),
+                let llc = match &mut self.llc {
+                    Llc::Partitioned(partitions) => &mut partitions[domain],
+                    Llc::Shared(shared) => shared,
                 };
-                if llc_hit {
+                if llc.access(access.addr).is_hit() {
                     self.stats[domain].llc_hits += 1;
                     ServiceLevel::Llc
                 } else {
@@ -154,8 +170,8 @@ impl System {
     /// Panics if `domain` is out of range.
     pub fn resize(&mut self, domain: usize, size: PartitionSize) {
         self.partition_sizes[domain] = size;
-        if self.mode == LlcMode::Partitioned {
-            self.partitions[domain].resize_sets(size.sets(self.machine.llc_ways));
+        if let Llc::Partitioned(partitions) = &mut self.llc {
+            partitions[domain].resize_sets(size.sets(self.machine.llc_ways));
         }
     }
 
@@ -192,13 +208,17 @@ impl System {
     }
 
     /// The domain with the smallest cycle clock — the one to step next
-    /// when interleaving domains in global-time order.
+    /// when interleaving domains in global-time order. Ties go to the
+    /// lowest domain index.
     pub fn laggard(&self) -> usize {
         let mut best = 0;
-        for d in 1..self.timing.len() {
-            if self.timing[d].cycles() < self.timing[best].cycles() {
-                best = d;
-            }
+        let mut min = self.stats[0].cycles;
+        for (d, s) in self.stats.iter().enumerate().skip(1) {
+            // Selects rather than branches: which domain lags changes
+            // from step to step, so a branch here mispredicts often.
+            let lower = s.cycles < min;
+            best = if lower { d } else { best };
+            min = if lower { s.cycles } else { min };
         }
         best
     }
@@ -329,6 +349,55 @@ mod tests {
         assert_eq!(sys.laggard(), 1);
         sys.stall(1, 500.0);
         assert_eq!(sys.laggard(), 2);
+    }
+
+    #[test]
+    fn laggard_ties_go_to_the_lowest_index() {
+        let mut sys = System::new(small_machine(), 4, LlcMode::Partitioned);
+        // Every clock starts at 0.
+        assert_eq!(sys.laggard(), 0);
+        sys.stall(0, 10.0);
+        assert_eq!(sys.laggard(), 1);
+        sys.stall(1, 30.0);
+        sys.stall(2, 30.0);
+        sys.stall(3, 30.0);
+        // Domain 0 lags alone; then three domains share the minimum.
+        assert_eq!(sys.laggard(), 0);
+        sys.stall(0, 20.0);
+        assert_eq!(sys.laggard(), 0);
+        sys.stall(0, 1.0);
+        assert_eq!(sys.laggard(), 1);
+        sys.stall(1, 1.0);
+        assert_eq!(sys.laggard(), 2);
+    }
+
+    #[test]
+    fn laggard_is_the_argmin_of_cycles_over_a_mixed_run() {
+        use untangle_trace::synth::{WorkingSetConfig, WorkingSetModel};
+        for mode in [LlcMode::Partitioned, LlcMode::Shared] {
+            let mut sys = System::new(small_machine(), 3, mode);
+            let mut sources: Vec<Box<dyn TraceSource>> = vec![
+                Box::new(VecSource::once(vec![Instr::compute(); 4096])),
+                Box::new(loads((0..4096).map(|l| l * 3))),
+                Box::new(WorkingSetModel::new(
+                    WorkingSetConfig {
+                        working_set_bytes: 1 << 20,
+                        ..WorkingSetConfig::default()
+                    },
+                    7,
+                )),
+            ];
+            for i in 0..6000 {
+                let d = sys.laggard();
+                let argmin = (0..sys.domains())
+                    .min_by(|&a, &b| sys.cycles(a).total_cmp(&sys.cycles(b)))
+                    .expect("domains");
+                assert_eq!(d, argmin, "{mode:?} step {i}");
+                if sys.step(d, &mut sources[d]).is_none() {
+                    sys.stall(d, 50.0);
+                }
+            }
+        }
     }
 
     #[test]
