@@ -11,8 +11,6 @@
 //! warm-started vs cold rate-table precompute and appends everything to
 //! `BENCH_experiments.json`.
 
-use std::time::Duration;
-
 use untangle_bench::experiments::{leakage_summary, run_all_mixes};
 use untangle_bench::harness::timed;
 use untangle_bench::parallel;
@@ -22,51 +20,10 @@ use untangle_bench::table::{f2, TextTable};
 use untangle_core::runner::RunnerConfig;
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
-use untangle_info::rate_table::{RateTable, RateTableConfig};
-use untangle_info::{Channel, DinkelbachOptions, RmaxCache, RmaxSolver, WarmStart};
+use untangle_info::rate_table::RateTable;
+use untangle_info::{Channel, RmaxCache, RmaxSolver};
 use untangle_obs as obs;
 use untangle_workloads::mix::mix_by_id;
-
-/// The pre-kernel rate-table precompute: the frozen reference solver
-/// (allocating inner loop, full per-cell `log2` gradient) chained with
-/// warm starts exactly as `precompute_with_stats(_, _, true)` chains the
-/// optimized one. This is the baseline the batched sweep is judged
-/// against.
-fn precompute_reference(
-    config: &RateTableConfig,
-    options: &DinkelbachOptions,
-) -> Result<Vec<f64>, UntangleError> {
-    let mut rates = Vec::with_capacity(config.max_maintains + 1);
-    let mut warm: Option<WarmStart> = None;
-    for m in 0..=config.max_maintains {
-        let channel = Channel::new(config.entry_channel_config(m)?)?;
-        let result = RmaxSolver::with_options(channel, options.clone())
-            .solve_warm_reference(warm.as_ref())?;
-        rates.push(result.upper_bound);
-        warm = Some(WarmStart::from_result(&result));
-    }
-    Ok(rates)
-}
-
-/// Minimum wall-clock per candidate over `runs` *interleaved* rounds:
-/// each round times every candidate once, so a transient load spike
-/// penalizes all of them instead of whichever happened to be running
-/// (min is the standard noise-robust estimator for single-threaded
-/// throughput claims, but only if the candidates sample the same
-/// machine conditions).
-fn best_of_interleaved<const N: usize>(
-    runs: usize,
-    candidates: &mut [&mut dyn FnMut(); N],
-) -> [Duration; N] {
-    let mut best = [Duration::MAX; N];
-    for _ in 0..runs {
-        for (slot, f) in best.iter_mut().zip(candidates.iter_mut()) {
-            let ((), d) = timed(&mut **f);
-            *slot = (*slot).min(d);
-        }
-    }
-    best
-}
 
 fn main() {
     if let Err(e) = run() {
@@ -129,74 +86,29 @@ fn run() -> Result<(), UntangleError> {
     obs::diag!("wrote {path}");
 
     // Warm-started vs cold rate-table precompute on the production table.
+    // The warm side is `precompute_cached` on a fresh cache; the cold
+    // side solves every entry from the uniform start.
     let params = RunnerConfig::eval_scale(SchemeKind::Untangle, scale)?.params;
     let (table_config, options) = params.rate_table_spec(4)?;
-    let (warm_table, warm_stats) = RateTable::precompute_with_stats(&table_config, &options, true)?;
-    let (cold_table, cold_stats) =
-        RateTable::precompute_with_stats(&table_config, &options, false)?;
-    let max_rate_diff = warm_table
-        .rates()
-        .iter()
-        .zip(cold_table.rates())
-        .map(|(w, c)| (w - c).abs())
-        .fold(0.0f64, f64::max);
-    let saving = 1.0 - warm_stats.inner_iterations as f64 / cold_stats.inner_iterations as f64;
+    let (warm_table, warm_stats) =
+        RateTable::precompute_cached(&table_config, &options, &RmaxCache::new())?;
+    let mut cold_inner_iterations = 0;
+    let mut cold_outer_iterations = 0;
+    let mut max_rate_diff = 0.0f64;
+    for (m, warm_rate) in warm_table.rates().iter().enumerate() {
+        let channel = Channel::new(table_config.entry_channel_config(m)?)?;
+        let cold = RmaxSolver::with_options(channel, options.clone()).solve()?;
+        cold_inner_iterations += cold.diagnostics.inner_iterations;
+        cold_outer_iterations += cold.diagnostics.outer_iterations;
+        max_rate_diff = max_rate_diff.max((warm_rate - cold.upper_bound).abs());
+    }
+    let saving = 1.0 - warm_stats.inner_iterations as f64 / cold_inner_iterations as f64;
     println!(
-        "\nRate-table precompute ({} entries): cold {} inner iterations, \
-         warm {} ({:.0} % fewer), max certified-rate difference {:.1e}",
+        "\nRate-table precompute ({} entries): cold {cold_inner_iterations} inner iterations, \
+         warm {} ({:.0} % fewer), max certified-rate difference {max_rate_diff:.1e}",
         warm_stats.entries,
-        cold_stats.inner_iterations,
         warm_stats.inner_iterations,
         saving * 100.0,
-        max_rate_diff
-    );
-
-    // Batched + vectorized precompute vs the pre-kernel reference chain:
-    // the same production table solved (a) by the frozen reference
-    // solver with sequential warm starts, (b) by the optimized scalar
-    // solver with sequential warm starts, (c) as one batched Dinkelbach
-    // sweep. Throughput target: (c) at least 4x faster than (a).
-    // The timed closures discard their `Result`s: each candidate is the
-    // deterministic computation the untimed, `?`-checked calls below
-    // repeat, so a failure cannot slip through silently.
-    const TIMING_RUNS: usize = 7;
-    let [reference_time, sequential_time, batched_time] = best_of_interleaved(
-        TIMING_RUNS,
-        &mut [
-            &mut || {
-                std::hint::black_box(precompute_reference(&table_config, &options).is_ok());
-            },
-            &mut || {
-                std::hint::black_box(
-                    RateTable::precompute_with_stats(&table_config, &options, true).is_ok(),
-                );
-            },
-            &mut || {
-                std::hint::black_box(
-                    RateTable::precompute_batched(&table_config, &options).is_ok(),
-                );
-            },
-        ],
-    );
-    let reference_rates = precompute_reference(&table_config, &options)?;
-    let (batched_table, batch_stats) = RateTable::precompute_batched(&table_config, &options)?;
-    let batch_max_rate_diff = batched_table
-        .rates()
-        .iter()
-        .zip(&reference_rates)
-        .map(|(b, r)| (b - r).abs())
-        .fold(0.0f64, f64::max);
-    let batch_speedup = reference_time.as_secs_f64() / batched_time.as_secs_f64();
-    let sequential_speedup = reference_time.as_secs_f64() / sequential_time.as_secs_f64();
-    println!(
-        "\nPrecompute throughput ({} entries, best of {TIMING_RUNS}): \
-         reference {:.2} ms, optimized sequential {:.2} ms ({sequential_speedup:.1}x), \
-         batched {:.2} ms ({batch_speedup:.1}x, target >= 4x), \
-         max |batched - reference| rate diff {batch_max_rate_diff:.1e}",
-        batch_stats.entries,
-        reference_time.as_secs_f64() * 1e3,
-        sequential_time.as_secs_f64() * 1e3,
-        batched_time.as_secs_f64() * 1e3,
     );
 
     let cache = RmaxCache::global().stats();
@@ -219,7 +131,7 @@ fn run() -> Result<(), UntangleError> {
                 ("entries", Json::Int(warm_stats.entries as i64)),
                 (
                     "cold_inner_iterations",
-                    Json::Int(cold_stats.inner_iterations as i64),
+                    Json::Int(cold_inner_iterations as i64),
                 ),
                 (
                     "warm_inner_iterations",
@@ -227,7 +139,7 @@ fn run() -> Result<(), UntangleError> {
                 ),
                 (
                     "cold_outer_iterations",
-                    Json::Int(cold_stats.outer_iterations as i64),
+                    Json::Int(cold_outer_iterations as i64),
                 ),
                 (
                     "warm_outer_iterations",
@@ -235,28 +147,6 @@ fn run() -> Result<(), UntangleError> {
                 ),
                 ("warm_saving", Json::Num(saving)),
                 ("max_rate_diff", Json::Num(max_rate_diff)),
-            ]),
-        ),
-        (
-            "batched_precompute",
-            Json::obj(vec![
-                ("entries", Json::Int(batch_stats.entries as i64)),
-                (
-                    "reference_ms",
-                    Json::Num(reference_time.as_secs_f64() * 1e3),
-                ),
-                (
-                    "sequential_ms",
-                    Json::Num(sequential_time.as_secs_f64() * 1e3),
-                ),
-                ("batched_ms", Json::Num(batched_time.as_secs_f64() * 1e3)),
-                ("sequential_speedup", Json::Num(sequential_speedup)),
-                ("batch_speedup", Json::Num(batch_speedup)),
-                ("batch_max_rate_diff", Json::Num(batch_max_rate_diff)),
-                (
-                    "batch_inner_iterations",
-                    Json::Int(batch_stats.inner_iterations as i64),
-                ),
             ]),
         ),
     ]);

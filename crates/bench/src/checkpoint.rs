@@ -59,16 +59,6 @@ use crate::report::Json;
 /// fingerprints additionally fold in the on-disk trace format version.
 pub const FORMAT_VERSION: u32 = 4;
 
-/// 64-bit FNV-1a over `bytes`.
-pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The fingerprint tying a checkpoint to one exact work item: mix id,
 /// evaluation scale (exact bits), RNG seed base, the full solver
 /// configuration (every [`DinkelbachOptions`] field, float fields as
@@ -80,21 +70,21 @@ pub fn sweep_fingerprint(
     seed_base: u64,
     options: &DinkelbachOptions,
 ) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    h = fnv1a(h, &(FORMAT_VERSION as u64).to_le_bytes());
-    h = fnv1a(h, &(mix_id as u64).to_le_bytes());
-    h = fnv1a(h, &scale.to_bits().to_le_bytes());
-    h = fnv1a(h, &seed_base.to_le_bytes());
-    h = fnv1a(h, &options.tolerance.to_bits().to_le_bytes());
-    h = fnv1a(h, &(options.max_outer_iterations as u64).to_le_bytes());
-    h = fnv1a(h, &(options.max_inner_iterations as u64).to_le_bytes());
-    h = fnv1a(h, &options.inner_gap_tolerance.to_bits().to_le_bytes());
-    h = fnv1a(h, &options.upper_bound_margin.to_bits().to_le_bytes());
-    h = fnv1a(h, &(options.max_margin_doublings as u64).to_le_bytes());
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&(FORMAT_VERSION as u64).to_le_bytes());
+    bytes.extend_from_slice(&(mix_id as u64).to_le_bytes());
+    bytes.extend_from_slice(&scale.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&seed_base.to_le_bytes());
+    bytes.extend_from_slice(&options.tolerance.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&(options.max_outer_iterations as u64).to_le_bytes());
+    bytes.extend_from_slice(&(options.max_inner_iterations as u64).to_le_bytes());
+    bytes.extend_from_slice(&options.inner_gap_tolerance.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&options.upper_bound_margin.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&(options.max_margin_doublings as u64).to_le_bytes());
     for kind in SchemeKind::ALL {
-        h = fnv1a(h, kind.name().as_bytes());
+        bytes.extend_from_slice(kind.name().as_bytes());
     }
-    format!("{h:016x}")
+    format!("{:016x}", untangle_durable::fnv1a(&bytes))
 }
 
 /// Everything `exp_mixes` reports about one scheme's run over a mix,

@@ -652,24 +652,23 @@ pub fn scenario_fingerprint(
     settings: &SweepSettings,
     validate: bool,
 ) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |bytes: &[u8]| h = checkpoint::fnv1a(h, bytes);
-    fold(&u64::from(FORMAT_VERSION).to_le_bytes());
-    fold(&u64::from(untangle_trace::file::FORMAT_VERSION).to_le_bytes());
-    fold(&u64::from(scenario.id).to_le_bytes());
-    fold(&scenario.seed().to_le_bytes());
-    fold(scenario.class.name().as_bytes());
-    fold(&(settings.count as u64).to_le_bytes());
-    fold(&settings.trace_instrs.to_le_bytes());
-    fold(&u64::from(settings.block_instrs).to_le_bytes());
-    fold(&settings.interval_instrs.to_le_bytes());
-    fold(&(settings.max_slices as u64).to_le_bytes());
-    fold(&(settings.validate_every as u64).to_le_bytes());
-    fold(&[u8::from(validate)]);
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&u64::from(FORMAT_VERSION).to_le_bytes());
+    bytes.extend_from_slice(&u64::from(untangle_trace::file::FORMAT_VERSION).to_le_bytes());
+    bytes.extend_from_slice(&u64::from(scenario.id).to_le_bytes());
+    bytes.extend_from_slice(&scenario.seed().to_le_bytes());
+    bytes.extend_from_slice(scenario.class.name().as_bytes());
+    bytes.extend_from_slice(&(settings.count as u64).to_le_bytes());
+    bytes.extend_from_slice(&settings.trace_instrs.to_le_bytes());
+    bytes.extend_from_slice(&u64::from(settings.block_instrs).to_le_bytes());
+    bytes.extend_from_slice(&settings.interval_instrs.to_le_bytes());
+    bytes.extend_from_slice(&(settings.max_slices as u64).to_le_bytes());
+    bytes.extend_from_slice(&(settings.validate_every as u64).to_le_bytes());
+    bytes.push(u8::from(validate));
     for kind in SCHEMES {
-        fold(kind.name().as_bytes());
+        bytes.extend_from_slice(kind.name().as_bytes());
     }
-    format!("{h:016x}")
+    format!("{:016x}", untangle_durable::fnv1a(&bytes))
 }
 
 /// Durable per-scenario checkpoints, one [`Slot`] file per scenario.

@@ -216,11 +216,8 @@ impl SchemeParams {
             ((self.delay_max_cycles as f64 / cycles_per_unit).round() as usize).max(1);
         let (config, options) = self.rate_table_spec(commit_width)?;
         // Route through the process-wide memo cache: every Untangle runner
-        // builds this same table, so all but the first build are free. The
-        // first build runs as one batched Dinkelbach sweep (entry 0 seeds
-        // all other entries) instead of a sequential warm-start chain.
-        let (table, _stats) =
-            RateTable::precompute_batched_cached(&config, &options, RmaxCache::global())?;
+        // builds this same table, so all but the first build are free.
+        let (table, _stats) = RateTable::precompute_cached(&config, &options, RmaxCache::global())?;
         Ok(RateModel {
             table,
             cycles_per_unit,

@@ -95,8 +95,8 @@ impl fmt::Display for DurableError {
 impl std::error::Error for DurableError {}
 
 /// FNV-1a over a byte slice: the workspace's deterministic,
-/// platform-independent checksum (the same constants the serve engine
-/// uses for shard routing and `untangle-bench` for fingerprints).
+/// platform-independent checksum, also the serve engine's shard-routing
+/// hash and `untangle-bench`'s checkpoint fingerprint.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {

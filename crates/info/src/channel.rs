@@ -16,7 +16,7 @@
 //! structure and exposes the objective and its gradient for the
 //! [`crate::dinkelbach`] solver.
 
-use crate::kernels::{self, KernelMode};
+use crate::kernels;
 use crate::{Dist, InfoError, Result};
 
 /// Distribution of the random action delay `δ` over `{0, …, width−1}`
@@ -423,12 +423,11 @@ impl Channel {
     /// `log_py` holds `log2 p(y)` (`0.0` for zero-mass outputs), so an
     /// accepted trial can compute its gradient via
     /// [`Channel::gradient_from_logs_into`] without re-applying the
-    /// channel matrix or re-evaluating a single logarithm. The scalar
-    /// arithmetic (accumulation order, normalization, entropy fold)
-    /// replicates the historical
-    /// `output_dist` → `Dist::from_weights` → `entropy_bits` chain
-    /// exactly, so scalar-dispatch results are bit-identical to the
-    /// allocating path.
+    /// channel matrix or re-evaluating a single logarithm. The arithmetic
+    /// (accumulation order, normalization, entropy fold) replicates the
+    /// historical `output_dist` → `Dist::from_weights` → `entropy_bits`
+    /// chain exactly, so results are bit-identical to the allocating
+    /// path.
     pub fn objective_value_into(
         &self,
         input: &[f64],
@@ -468,28 +467,17 @@ impl Channel {
         let ny = self.outputs.len();
         grad.clear();
         grad.resize(self.num_inputs(), 0.0);
-        match kernels::active_mode() {
-            KernelMode::Scalar => {
-                // Faithful replica of the historical per-cell loop (with
-                // the log2 hoisted): identical accumulation order, so
-                // scalar dispatch stays bit-compatible.
-                for (xi, row) in self.kernel.chunks_exact(ny).enumerate() {
-                    let mut g = 0.0;
-                    for (yi, &pyx) in row.iter().enumerate() {
-                        if pyx > 0.0 {
-                            g -= pyx * log_table[yi];
-                        }
-                    }
-                    grad[xi] = g - q * self.durations_f[xi];
+        // Faithful replica of the historical per-cell loop (with the log2
+        // hoisted): identical accumulation order, so results stay
+        // bit-compatible.
+        for (xi, row) in self.kernel.chunks_exact(ny).enumerate() {
+            let mut g = 0.0;
+            for (yi, &pyx) in row.iter().enumerate() {
+                if pyx > 0.0 {
+                    g -= pyx * log_table[yi];
                 }
             }
-            KernelMode::Lanes => {
-                // Branchless row dot: zero kernel cells contribute exact
-                // zeros, and the lane variant already re-associates.
-                for (xi, row) in self.kernel.chunks_exact(ny).enumerate() {
-                    grad[xi] = -kernels::lanes::dot(row, log_table) - q * self.durations_f[xi];
-                }
-            }
+            grad[xi] = g - q * self.durations_f[xi];
         }
     }
 

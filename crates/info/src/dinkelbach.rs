@@ -561,7 +561,18 @@ impl RmaxSolver {
     /// rejects zero durations, so the denominator is at least one time
     /// unit. Used as the bracket's upper edge when certification stalls.
     fn trivial_upper_bound(&self) -> f64 {
-        trivial_upper_bound(&self.channel)
+        // Durations are validated strictly increasing, so the first is
+        // the minimum; the fallbacks are unreachable but keep this
+        // panic-free by construction.
+        let d_min = self
+            .channel
+            .config()
+            .durations
+            .first()
+            .copied()
+            .unwrap_or(1)
+            .max(1) as f64;
+        (self.channel.num_outputs().max(1) as f64).log2() / d_min
     }
 
     /// Inner concave maximization `F(q) = max_p { H(Y) − H(δ) − q·T_avg }`
@@ -616,16 +627,10 @@ impl RmaxSolver {
     /// gradient evaluated on every backtracking trial, per-cell `log2` in
     /// the gradient, no observability).
     ///
-    /// Kept for two jobs, both load-bearing:
-    ///
-    /// * **bit-compatibility oracle** — with scalar kernel dispatch the
-    ///   optimized [`RmaxSolver::solve_warm`] must reproduce this
-    ///   function's results exactly (`tests/kernel_equivalence.rs`
-    ///   asserts the rates, bounds, and optimal inputs bit-for-bit);
-    /// * **benchmark baseline** — `exp_table6` and the kernel
-    ///   microbenchmarks measure speedups against this code path, so the
-    ///   recorded throughput ratios stay anchored to the historical
-    ///   implementation rather than to a moving target.
+    /// It is the bit-compatibility oracle: the optimized
+    /// [`RmaxSolver::solve_warm`] must reproduce this function's results
+    /// exactly (`tests/kernel_equivalence.rs` asserts the rates, bounds,
+    /// optimal inputs and iteration counts bit-for-bit).
     ///
     /// # Errors
     ///
@@ -803,23 +808,6 @@ impl RmaxSolver {
     }
 }
 
-/// Trivial `R'_max` upper bound `log2|Y| / d_min` (see
-/// [`SolveStatus::Bracketed`]); shared by the sequential solver and the
-/// batch lanes.
-pub(crate) fn trivial_upper_bound(channel: &Channel) -> f64 {
-    // Durations are validated strictly increasing, so the first is
-    // the minimum; the fallbacks are unreachable but keep this
-    // panic-free by construction.
-    let d_min = channel
-        .config()
-        .durations
-        .first()
-        .copied()
-        .unwrap_or(1)
-        .max(1) as f64;
-    (channel.num_outputs().max(1) as f64).log2() / d_min
-}
-
 /// The historical `Channel::objective_and_gradient`, kept verbatim for
 /// [`RmaxSolver::solve_warm_reference`]: re-derives `log2 p(y)` for every
 /// nonzero kernel cell instead of hoisting a per-output table.
@@ -855,7 +843,7 @@ fn reference_objective_and_gradient(
 
 /// How one [`AscentWorkspace::iterate`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IterOutcome {
+enum IterOutcome {
     /// A trial step was accepted and ascent continues.
     Advanced,
     /// The Frank–Wolfe gap fell below tolerance: the iterate is optimal.
@@ -869,8 +857,7 @@ pub(crate) enum IterOutcome {
 }
 
 /// Reusable buffers and per-instance state of one exponentiated-gradient
-/// ascent: the no-alloc core shared by [`RmaxSolver::solve_warm`] and the
-/// lockstep lanes of [`crate::batch::BatchDinkelbach`].
+/// ascent: the no-alloc core of [`RmaxSolver::solve_warm`].
 ///
 /// One [`AscentWorkspace::iterate`] call performs exactly one iteration of
 /// the historical `inner_maximize` loop — same Frank–Wolfe gap test, same
@@ -879,15 +866,15 @@ pub(crate) enum IterOutcome {
 /// only the objective *value* on backtracking trials (the gradient is
 /// recomputed once, from the already-normalized output distribution, when
 /// a trial is accepted) and reuses these buffers instead of allocating
-/// per trial. Under scalar kernel dispatch the arithmetic is
-/// bit-identical to the historical loop; the iterate sequence, accept
-/// decisions, and exit conditions therefore agree exactly.
+/// per trial. The arithmetic is bit-identical to the historical loop; the
+/// iterate sequence, accept decisions, and exit conditions therefore
+/// agree exactly.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AscentWorkspace {
+struct AscentWorkspace {
     /// Current (raw, softmax-normalized) iterate on the simplex.
-    pub(crate) p: Vec<f64>,
+    p: Vec<f64>,
     /// Objective value at the renormalized iterate.
-    pub(crate) value: f64,
+    value: f64,
     /// Gradient at the renormalized iterate.
     grad: Vec<f64>,
     /// Backtracking step size.
@@ -910,14 +897,6 @@ pub(crate) struct AscentWorkspace {
     /// out of the backtracking loop (the iterate is fixed across trials;
     /// only the step size changes).
     logp: Vec<f64>,
-    /// Scratch (lanes fast path): pre-softmax trial logits, kept so an
-    /// accepted trial's `ln p` falls out as `logits − (max + ln z)`
-    /// instead of an elementwise log pass.
-    logits: Vec<f64>,
-    /// Whether `logp` already holds the current iterate's logs (set by
-    /// the lanes accept path; the scalar path always recomputes, keeping
-    /// its arithmetic bit-identical to the historical per-trial code).
-    logp_valid: bool,
 }
 
 /// Strictly positive mass floor: keeps log-space updates finite and
@@ -926,19 +905,18 @@ const MASS_FLOOR: f64 = 1e-300;
 
 impl AscentWorkspace {
     /// Fresh workspace; buffers size themselves lazily on first use.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// (Re)starts an ascent at `start` for inner parameter `q`,
     /// replicating the historical initial evaluation
     /// `objective_and_gradient(Dist::from_weights(p), q)`.
-    pub(crate) fn begin(&mut self, channel: &Channel, q: f64, start: &[f64]) {
+    fn begin(&mut self, channel: &Channel, q: f64, start: &[f64]) {
         self.p.clear();
         self.p.extend_from_slice(start);
         self.step = 0.5;
         self.stagnant = 0;
-        self.logp_valid = false;
         self.eval.clear();
         self.eval.resize(self.p.len(), 0.0);
         kernels::normalize_into(&mut self.eval, &self.p);
@@ -949,7 +927,7 @@ impl AscentWorkspace {
     /// One ascent iteration: gap test, optional sign decision, then the
     /// backtracking line search. Mirrors one pass of the historical
     /// `inner_maximize` loop body exactly.
-    pub(crate) fn iterate(
+    fn iterate(
         &mut self,
         channel: &Channel,
         q: f64,
@@ -972,18 +950,11 @@ impl AscentWorkspace {
         // distribution, whose `log2 p(y)` table the value evaluation
         // already produced.
         // The iterate's log is invariant across backtracking trials
-        // (only `step` halves), so compute it once per iteration — or
-        // reuse the one the lanes accept path derived from the logits.
-        // Under scalar dispatch each element is the exact same
-        // `max(p, floor).ln()` the per-trial expression produced —
-        // hoisting does not change a single bit.
-        if !self.logp_valid {
-            kernels::ln_floored_into(&mut self.logp, &self.p, MASS_FLOOR);
-        }
-        let accepted = match kernels::active_mode() {
-            kernels::KernelMode::Scalar => self.backtrack_scalar(channel, q, max_g),
-            kernels::KernelMode::Lanes => self.backtrack_lanes(channel, q, max_g),
-        };
+        // (only `step` halves), so compute it once per iteration. Each
+        // element is the exact same `max(p, floor).ln()` the per-trial
+        // expression produced — hoisting does not change a single bit.
+        kernels::ln_floored_into(&mut self.logp, &self.p, MASS_FLOOR);
+        let accepted = self.backtrack(channel, q, max_g);
         if !accepted || self.stagnant >= 8 {
             IterOutcome::Stalled // numerically at the optimum
         } else {
@@ -994,8 +965,8 @@ impl AscentWorkspace {
     /// The historical 40-trial backtracking line search, verbatim:
     /// softmax-normalize the trial, renormalize exactly as
     /// `Dist::from_weights` would, evaluate, accept or halve. Bitwise
-    /// identical to the pre-kernel loop under scalar dispatch.
-    fn backtrack_scalar(&mut self, channel: &Channel, q: f64, max_g: f64) -> bool {
+    /// identical to the pre-kernel loop.
+    fn backtrack(&mut self, channel: &Channel, q: f64, max_g: f64) -> bool {
         for _ in 0..40 {
             self.trial.clear();
             self.trial.extend(
@@ -1030,52 +1001,6 @@ impl AscentWorkspace {
         false
     }
 
-    /// The same line search on the lane kernels, with two drift-tier
-    /// shortcuts the scalar path cannot take: the softmax output (which
-    /// already sums to 1 up to rounding) feeds the objective directly
-    /// instead of passing through the historical `from_weights`-style
-    /// renormalization, and an accepted iterate's `ln p` is derived from
-    /// the kept pre-softmax logits — `ln p = logits − (max + ln z)`,
-    /// exact by the softmax definition — instead of an elementwise log
-    /// pass at the next iteration. Same trial sequence, accept rule,
-    /// step policy, and stagnation bookkeeping.
-    fn backtrack_lanes(&mut self, channel: &Channel, q: f64, max_g: f64) -> bool {
-        for _ in 0..40 {
-            self.logits.clear();
-            self.logits.extend(
-                self.logp
-                    .iter()
-                    .zip(&self.grad)
-                    .map(|(&lpi, &gi)| lpi + self.step * (gi - max_g)),
-            );
-            let shift = kernels::lanes::max_value(&self.logits);
-            kernels::lanes::exp_shifted_into(&mut self.trial, &self.logits, shift);
-            let z = kernels::lanes::sum(&self.trial);
-            kernels::lanes::div_assign(&mut self.trial, z);
-            let trial_value =
-                channel.objective_value_into(&self.trial, q, &mut self.py, &mut self.log_py);
-            if trial_value >= self.value - 1e-15 {
-                self.note_stagnation(trial_value);
-                let offset = shift + z.ln();
-                self.logp.clear();
-                self.logp.extend(self.logits.iter().map(|&t| t - offset));
-                self.logp_valid = true;
-                std::mem::swap(&mut self.p, &mut self.trial);
-                self.value = trial_value;
-                channel.gradient_from_logs_into(
-                    &self.log_py,
-                    q,
-                    &mut self.log_table,
-                    &mut self.grad,
-                );
-                self.step = (self.step * 1.3).min(64.0);
-                return true;
-            }
-            self.step *= 0.5;
-        }
-        false
-    }
-
     /// Distinguishes real progress from the numerical tail: several
     /// consecutive sub-noise improvements mean the iterate is done
     /// moving (checked by the caller against the 8-strike limit).
@@ -1089,7 +1014,7 @@ impl AscentWorkspace {
 
     /// Frank–Wolfe gap at the current iterate (recomputed; the iterate may
     /// have moved since the last in-loop gap).
-    pub(crate) fn current_gap(&self) -> f64 {
+    fn current_gap(&self) -> f64 {
         let (inner, max_g) = kernels::dot_and_max(&self.p, &self.grad);
         max_g - inner
     }

@@ -1,8 +1,7 @@
-//! Vectorized f64 kernels for the `R'_max` hot path.
+//! Scalar f64 kernels for the `R'_max` hot path.
 //!
-//! Profiling the rate-table precompute (`BENCH_experiments.json`,
-//! `exp_table6`) shows the Dinkelbach inner loop spends essentially all
-//! of its time in four primitive kernels:
+//! Profiling the rate-table precompute shows the Dinkelbach inner loop
+//! spends essentially all of its time in four primitive kernels:
 //!
 //! 1. **entropy** — `−Σ p·log2 p` over an output distribution
 //!    ([`Dist::entropy_bits`](crate::Dist::entropy_bits) and the solver's
@@ -14,582 +13,124 @@
 //! 4. **matrix apply** — accumulating `p(y) = Σ_x p(x)·p(y|x)` rows of the
 //!    channel kernel into the output distribution.
 //!
-//! This module provides each kernel in two variants:
-//!
-//! * [`scalar`] — a faithful, sequential-fold replica of the original
-//!   loops. **Bit-compatible** with the pre-kernel code: the accumulation
-//!   order is identical, so every scalar-dispatch build reproduces the
-//!   historical results down to the last ulp (the equivalence suite in
-//!   `tests/kernel_equivalence.rs` enforces this against inline reference
-//!   expressions and against [`RmaxSolver::solve_warm_reference`]).
-//! * [`lanes`] — 4-wide hand-unrolled lanes: four independent
-//!   accumulators walk `chunks_exact(4)` so the backend can keep the
-//!   adds in SIMD registers, with a scalar tail for the remainder, and
-//!   the transcendental phases (`log2` in the entropy kernels, `exp` in
-//!   [`softmax_inplace`]) run on inlined fixed-degree polynomials that
-//!   the auto-vectorizer can fold into the surrounding loop instead of
-//!   opaque libm calls. Reductions re-associate and the polynomials
-//!   round differently, so results may drift from [`scalar`] by ≤ 1e-12
-//!   on the magnitudes this crate handles (max-folds and [`axpy`] are
-//!   bit-identical either way).
-//!
-//! Dispatch is gated twice, per the determinism policy:
-//!
-//! * **compile time** — without the `simd` cargo feature the dispatchers
-//!   are hardwired to [`scalar`] (no branch, no environment read), so the
-//!   default build cannot drift from the historical bit patterns;
-//! * **runtime** — with `simd` compiled in, `UNTANGLE_SIMD=0` (or `off`)
-//!   forces scalar dispatch for A/B comparisons without a rebuild. The
-//!   choice is read once and cached for the life of the process, so a
-//!   single run never mixes modes.
-//!
-//! Both variants are always *compiled* (they are plain safe Rust — the
-//! lanes are shaped for the auto-vectorizer rather than written against a
-//! target-specific intrinsic set, so there is no CPU feature to probe);
-//! only the dispatch is feature-gated. That keeps the equivalence suite
-//! meaningful on every CI leg.
+//! Each kernel is a faithful, sequential-fold replica of the original
+//! loop: the accumulation order is identical, so every result reproduces
+//! the historical solver down to the last ulp (the equivalence suite in
+//! `tests/kernel_equivalence.rs` enforces this against
+//! [`RmaxSolver::solve_warm_reference`](crate::RmaxSolver::solve_warm_reference)).
 
-/// Which kernel implementation the dispatching entry points select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Sequential folds, bit-compatible with the pre-kernel solver.
-    Scalar,
-    /// 4-wide unrolled lanes; reductions re-associate (≤ 1e-12 drift).
-    Lanes,
-}
+use crate::xlog2x;
 
-impl KernelMode {
-    /// Human-readable name (`"scalar"` / `"lanes"`), used in obs events
-    /// and benchmark labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Lanes => "lanes",
-        }
-    }
-}
-
-/// The mode every dispatching kernel in this module uses.
+/// Shannon entropy `−Σ p·log2 p` in bits.
 ///
-/// Scalar unless the `simd` feature is compiled in; with the feature,
-/// lanes unless the `UNTANGLE_SIMD` environment variable is `0`/`off`
-/// (checked once per process).
-#[cfg(feature = "simd")]
-pub fn active_mode() -> KernelMode {
-    static MODE: std::sync::OnceLock<KernelMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("UNTANGLE_SIMD") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => KernelMode::Scalar,
-        _ => KernelMode::Lanes,
-    })
-}
-
-/// The mode every dispatching kernel in this module uses.
-///
-/// Scalar unless the `simd` feature is compiled in; with the feature,
-/// lanes unless the `UNTANGLE_SIMD` environment variable is `0`/`off`
-/// (checked once per process).
-#[cfg(not(feature = "simd"))]
-pub fn active_mode() -> KernelMode {
-    KernelMode::Scalar
-}
-
-/// Branch-light polynomial `log2`/`exp` used by the [`lanes`] kernels.
-///
-/// `f64::log2`/`f64::exp` dominate the solver's per-trial cost (one call
-/// per output symbol per evaluation) and, being opaque libm calls, wall
-/// off the surrounding loops from the auto-vectorizer. These fixed-degree
-/// polynomials inline into the lane loops so the whole pass vectorizes.
-/// Absolute error is below `2e-13` across the solver's input range —
-/// inside the [`lanes`] tier's documented `1e-12` drift budget, which the
-/// equivalence suite enforces end to end.
-mod poly {
-    /// `2^n` for integer `n ∈ [-1022, 1023]`, assembled directly in the
-    /// exponent bits.
-    #[inline]
-    fn pow2i(n: i64) -> f64 {
-        f64::from_bits(((n + 1023) as u64) << 52)
-    }
-
-    /// Exponent/mantissa decomposition shared by [`log2`] and [`ln`]:
-    /// returns `(e, ln m)` with `x = 2^e · m`, mantissa centered on
-    /// `[√2/2, √2]` (so no cancellation near `x = 1`), `ln m` from the
-    /// atanh series `2s(1 + s²/3 + … + s¹⁴/15)` with `s = (m−1)/(m+1)`,
-    /// `|s| ≤ 0.172`; truncation error below `2e-14`.
-    #[inline]
-    fn ln_parts(x: f64) -> (f64, f64) {
-        // Scaling by 2^53 is exact and lifts subnormals into the normal
-        // range, where the exponent-bit split below is valid.
-        let (xs, bias) = if x < f64::MIN_POSITIVE {
-            (x * 9_007_199_254_740_992.0, 53i64)
-        } else {
-            (x, 0)
-        };
-        let bits = xs.to_bits();
-        let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023 - bias;
-        let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-        if m > std::f64::consts::SQRT_2 {
-            m *= 0.5;
-            e += 1;
-        }
-        let s = (m - 1.0) / (m + 1.0);
-        let z = s * s;
-        let mut p = 1.0 / 15.0;
-        p = p * z + 1.0 / 13.0;
-        p = p * z + 1.0 / 11.0;
-        p = p * z + 1.0 / 9.0;
-        p = p * z + 1.0 / 7.0;
-        p = p * z + 1.0 / 5.0;
-        p = p * z + 1.0 / 3.0;
-        p = p * z + 1.0;
-        (e as f64, 2.0 * s * p)
-    }
-
-    /// `log2 x` for finite `x > 0`, subnormals included.
-    #[inline]
-    pub fn log2(x: f64) -> f64 {
-        let (e, ln_m) = ln_parts(x);
-        e + ln_m * std::f64::consts::LOG2_E
-    }
-
-    /// `ln x` for finite `x > 0`, subnormals included.
-    #[inline]
-    pub fn ln(x: f64) -> f64 {
-        let (e, ln_m) = ln_parts(x);
-        e * std::f64::consts::LN_2 + ln_m
-    }
-
-    /// `e^x` for finite `x`, gradual underflow included.
-    ///
-    /// Range reduction `x = n·ln 2 + r` with `|r| ≤ ln 2 / 2` (two-part
-    /// `ln 2` keeps `r` exact to the last bit), Taylor `e^r` through
-    /// `r¹³/13!` (truncation below `4e-18` relative), then a two-step
-    /// power-of-two scale so `n` down to `−2043` — i.e. results down to
-    /// the smallest subnormal — stays in range.
-    #[inline]
-    pub fn exp(x: f64) -> f64 {
-        const LN2_HI: f64 = 6.931_471_803_691_238e-1;
-        const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-        let n = (x * std::f64::consts::LOG2_E).round();
-        let r = (x - n * LN2_HI) - n * LN2_LO;
-        let mut p = 1.0 / 6_227_020_800.0;
-        p = p * r + 1.0 / 479_001_600.0;
-        p = p * r + 1.0 / 39_916_800.0;
-        p = p * r + 1.0 / 3_628_800.0;
-        p = p * r + 1.0 / 362_880.0;
-        p = p * r + 1.0 / 40_320.0;
-        p = p * r + 1.0 / 5_040.0;
-        p = p * r + 1.0 / 720.0;
-        p = p * r + 1.0 / 120.0;
-        p = p * r + 1.0 / 24.0;
-        p = p * r + 1.0 / 6.0;
-        p = p * r + 0.5;
-        p = p * r + 1.0;
-        p = p * r + 1.0;
-        // Clamp keeps both half-scales in the valid exponent range;
-        // anything clamped underflows to 0 or overflows to inf anyway.
-        let ni = (n as i64).clamp(-2043, 2046);
-        let h = ni / 2;
-        p * pow2i(h) * pow2i(ni - h)
-    }
-}
-
-/// Sequential-fold kernels, bit-compatible with the original loops.
-pub mod scalar {
-    use crate::xlog2x;
-
-    /// Shannon entropy `−Σ p·log2 p` in bits.
-    ///
-    /// Identical fold to the historical `Dist::entropy_bits`.
-    pub fn entropy_bits(probs: &[f64]) -> f64 {
-        -probs.iter().map(|&p| xlog2x(p)).sum::<f64>()
-    }
-
-    /// Entropy plus the `log2 p(y)` table in one pass: fills `log_py`
-    /// with `log2 p` (`0.0` where `p ≤ 0`) and returns `−Σ p·log2 p`.
-    ///
-    /// Bit-identical to [`entropy_bits`]: each term is the same
-    /// `p * p.log2()` product, accumulated left-to-right and negated
-    /// once at the end (IEEE negation commutes with the rounded sum).
-    /// The table is what the gradient would otherwise recompute — one
-    /// `log2` per output instead of one per output per use.
-    pub fn entropy_and_logs(probs: &[f64], log_py: &mut Vec<f64>) -> f64 {
-        log_py.clear();
-        log_py.reserve(probs.len());
-        let mut s = 0.0;
-        for &p in probs {
-            if p > 0.0 {
-                let lp = p.log2();
-                log_py.push(lp);
-                s += p * lp;
-            } else {
-                log_py.push(0.0);
-            }
-        }
-        -s
-    }
-
-    /// Plain left-to-right sum, matching the `Dist::from_weights`
-    /// validation fold exactly: an explicit accumulator starting at
-    /// `+0.0`. (`Iterator::sum::<f64>()` folds from `−0.0`, which
-    /// differs bitwise on empty and all-zero inputs.)
-    pub fn sum(xs: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for &x in xs {
-            s += x;
-        }
-        s
-    }
-
-    /// Dot product `⟨a, b⟩` as a left-to-right fold of products.
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-    }
-
-    /// Maximum element (`−∞` for an empty slice). Exact: `max` is
-    /// order-independent on the NaN-free data this crate produces.
-    pub fn max_value(xs: &[f64]) -> f64 {
-        xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Fused `(⟨p, g⟩, max g)` — the two reductions of the Frank–Wolfe
-    /// gap `max_x g_x − ⟨p, g⟩` in one pass over `g`.
-    pub fn dot_and_max(p: &[f64], g: &[f64]) -> (f64, f64) {
-        let mut inner = 0.0;
-        let mut max_g = f64::NEG_INFINITY;
-        for (&pi, &gi) in p.iter().zip(g) {
-            inner += pi * gi;
-            max_g = max_g.max(gi);
-        }
-        (inner, max_g)
-    }
-
-    /// Channel matrix-apply row step: `out[y] += px * row[y]`.
-    pub fn axpy(out: &mut [f64], px: f64, row: &[f64]) {
-        for (o, &r) in out.iter_mut().zip(row) {
-            *o += px * r;
-        }
-    }
-
-    /// Softmax in log space: subtract the max, exponentiate, divide by
-    /// the sum. Identical arithmetic to the historical trial-step
-    /// normalization of `inner_maximize`.
-    pub fn softmax_inplace(logits: &mut [f64]) {
-        let m = max_value(logits);
-        for t in logits.iter_mut() {
-            *t = (*t - m).exp();
-        }
-        let z = sum(logits);
-        for t in logits.iter_mut() {
-            *t /= z;
-        }
-    }
-
-    /// Writes `dst[i] = src[i] / sum(src)` — the normalization step of
-    /// `Dist::from_weights`, without the allocation or re-validation.
-    pub fn normalize_into(dst: &mut [f64], src: &[f64]) {
-        let s = sum(src);
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = v / s;
-        }
-    }
-
-    /// `xs[i] /= z` — one true division per element, matching the
-    /// historical normalization loops bitwise.
-    pub fn div_assign(xs: &mut [f64], z: f64) {
-        for x in xs.iter_mut() {
-            *x /= z;
-        }
-    }
-
-    /// Fills `dst` with `ln(max(src[i], floor))` — the log-space lift of
-    /// the exponentiated-gradient step, with `f64::ln` exactly as the
-    /// historical per-trial expression computed it.
-    pub fn ln_floored_into(dst: &mut Vec<f64>, src: &[f64], floor: f64) {
-        dst.clear();
-        dst.extend(src.iter().map(|&x| x.max(floor).ln()));
-    }
-}
-
-/// 4-wide hand-unrolled lanes: four independent accumulators over
-/// `chunks_exact(4)` plus a scalar tail. See the module docs for the
-/// equivalence contract with [`scalar`].
-pub mod lanes {
-    use super::poly;
-
-    /// Number of parallel accumulators each reduction carries.
-    pub const WIDTH: usize = 4;
-
-    /// `p·log2 p` with the `0·log 0 = 0` convention, on the polynomial
-    /// `log2` (lane tier: agrees with [`crate::xlog2x`] within `1e-13`).
-    ///
-    /// Written select-style — both arms evaluate, the guard only picks —
-    /// so the surrounding entropy loops stay branch-free and vectorize.
-    #[inline]
-    fn xlog2x(p: f64) -> f64 {
-        let t = p * poly::log2(p.max(f64::MIN_POSITIVE));
-        if p > 0.0 {
-            t
-        } else {
-            0.0
-        }
-    }
-
-    /// Combines four lane accumulators pairwise (`(0+2) + (1+3)`), the
-    /// fixed tree every lane reduction here finishes with.
-    #[inline]
-    fn combine(acc: [f64; WIDTH]) -> f64 {
-        (acc[0] + acc[2]) + (acc[1] + acc[3])
-    }
-
-    /// Shannon entropy `−Σ p·log2 p` in bits (lane-reassociated sum).
-    pub fn entropy_bits(probs: &[f64]) -> f64 {
-        let mut acc = [0.0f64; WIDTH];
-        let chunks = probs.chunks_exact(WIDTH);
-        let tail = chunks.remainder();
-        for c in chunks {
-            acc[0] += xlog2x(c[0]);
-            acc[1] += xlog2x(c[1]);
-            acc[2] += xlog2x(c[2]);
-            acc[3] += xlog2x(c[3]);
-        }
-        let mut s = combine(acc);
-        for &p in tail {
-            s += xlog2x(p);
-        }
-        -s
-    }
-
-    /// Entropy plus the `log2 p(y)` table: fills `log_py` elementwise
-    /// with the polynomial `log2` (within `1e-13` of the scalar table)
-    /// and reduces `−Σ p·log2 p` with the lane-reassociated dot.
-    /// Zero-mass outputs carry an exact `0.0` log and contribute exact
-    /// zero terms.
-    pub fn entropy_and_logs(probs: &[f64], log_py: &mut Vec<f64>) -> f64 {
-        log_py.clear();
-        log_py.extend(
-            probs
-                .iter()
-                .map(|&p| if p > 0.0 { poly::log2(p) } else { 0.0 }),
-        );
-        -dot(probs, log_py)
-    }
-
-    /// Lane-reassociated sum.
-    pub fn sum(xs: &[f64]) -> f64 {
-        let mut acc = [0.0f64; WIDTH];
-        let chunks = xs.chunks_exact(WIDTH);
-        let tail = chunks.remainder();
-        for c in chunks {
-            acc[0] += c[0];
-            acc[1] += c[1];
-            acc[2] += c[2];
-            acc[3] += c[3];
-        }
-        let mut s = combine(acc);
-        for &x in tail {
-            s += x;
-        }
-        s
-    }
-
-    /// Lane-reassociated dot product `⟨a, b⟩`.
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let (ah, at) = a[..n].split_at(n - n % WIDTH);
-        let (bh, bt) = b[..n].split_at(n - n % WIDTH);
-        let mut acc = [0.0f64; WIDTH];
-        for (ca, cb) in ah.chunks_exact(WIDTH).zip(bh.chunks_exact(WIDTH)) {
-            acc[0] += ca[0] * cb[0];
-            acc[1] += ca[1] * cb[1];
-            acc[2] += ca[2] * cb[2];
-            acc[3] += ca[3] * cb[3];
-        }
-        let mut s = combine(acc);
-        for (&x, &y) in at.iter().zip(bt) {
-            s += x * y;
-        }
-        s
-    }
-
-    /// Maximum element (`−∞` for an empty slice). Bit-identical to
-    /// [`super::scalar::max_value`]: `max` is associative and the inputs
-    /// are NaN-free.
-    pub fn max_value(xs: &[f64]) -> f64 {
-        let mut acc = [f64::NEG_INFINITY; WIDTH];
-        let chunks = xs.chunks_exact(WIDTH);
-        let tail = chunks.remainder();
-        for c in chunks {
-            acc[0] = acc[0].max(c[0]);
-            acc[1] = acc[1].max(c[1]);
-            acc[2] = acc[2].max(c[2]);
-            acc[3] = acc[3].max(c[3]);
-        }
-        let mut m = acc[0].max(acc[1]).max(acc[2]).max(acc[3]);
-        for &x in tail {
-            m = m.max(x);
-        }
-        m
-    }
-
-    /// Fused `(⟨p, g⟩, max g)` in one unrolled pass.
-    pub fn dot_and_max(p: &[f64], g: &[f64]) -> (f64, f64) {
-        let n = p.len().min(g.len());
-        let (ph, pt) = p[..n].split_at(n - n % WIDTH);
-        let (gh, gt) = g[..n].split_at(n - n % WIDTH);
-        let mut acc = [0.0f64; WIDTH];
-        let mut mx = [f64::NEG_INFINITY; WIDTH];
-        for (cp, cg) in ph.chunks_exact(WIDTH).zip(gh.chunks_exact(WIDTH)) {
-            acc[0] += cp[0] * cg[0];
-            acc[1] += cp[1] * cg[1];
-            acc[2] += cp[2] * cg[2];
-            acc[3] += cp[3] * cg[3];
-            mx[0] = mx[0].max(cg[0]);
-            mx[1] = mx[1].max(cg[1]);
-            mx[2] = mx[2].max(cg[2]);
-            mx[3] = mx[3].max(cg[3]);
-        }
-        let mut inner = combine(acc);
-        let mut max_g = mx[0].max(mx[1]).max(mx[2]).max(mx[3]);
-        for (&pi, &gi) in pt.iter().zip(gt) {
-            inner += pi * gi;
-            max_g = max_g.max(gi);
-        }
-        (inner, max_g)
-    }
-
-    /// Channel matrix-apply row step: `out[y] += px * row[y]`.
-    ///
-    /// Element-wise and bit-identical to [`super::scalar::axpy`] — in
-    /// fact the same simple loop: microbenchmarks showed the manual
-    /// 4-wide unroll *hindering* the vectorizer here (the split/chunk
-    /// bookkeeping outweighed any gain on an already trivially
-    /// vectorizable loop), so the lane variant delegates.
-    #[inline]
-    pub fn axpy(out: &mut [f64], px: f64, row: &[f64]) {
-        super::scalar::axpy(out, px, row);
-    }
-
-    /// Softmax in log space with lane-reassociated max and sum folds and
-    /// the polynomial `exp` in the exponentiation phase (within a few
-    /// ulp of the scalar variant elementwise; well inside the lane
-    /// tier's `1e-12` budget).
-    pub fn softmax_inplace(logits: &mut [f64]) {
-        let m = max_value(logits);
-        for t in logits.iter_mut() {
-            *t = poly::exp(*t - m);
-        }
-        let z = sum(logits);
-        div_assign(logits, z);
-    }
-
-    /// Writes `dst[i] = src[i] / sum(src)` with a lane-reassociated sum
-    /// and the reciprocal-multiply division of [`div_assign`].
-    pub fn normalize_into(dst: &mut [f64], src: &[f64]) {
-        let s = sum(src);
-        let inv = 1.0 / s;
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = v * inv;
-        }
-    }
-
-    /// `xs[i] /= z` as a reciprocal multiply: one division total, then a
-    /// fully pipelined multiply pass (within 1 ulp per element of the
-    /// true division — lane tier, not bitwise).
-    pub fn div_assign(xs: &mut [f64], z: f64) {
-        let inv = 1.0 / z;
-        for x in xs.iter_mut() {
-            *x *= inv;
-        }
-    }
-
-    /// Fills `dst` with `ln(max(src[i], floor))` on the polynomial `ln`
-    /// (within `2e-13` absolute of libm across the solver's range).
-    pub fn ln_floored_into(dst: &mut Vec<f64>, src: &[f64], floor: f64) {
-        dst.clear();
-        dst.extend(src.iter().map(|&x| poly::ln(x.max(floor))));
-    }
-
-    /// Fills `out` with `exp(logits[i] − shift)` on the polynomial
-    /// `exp` — the exponentiation phase of [`softmax_inplace`] exposed
-    /// separately, for callers that need the pre-softmax logits and the
-    /// normalizer afterwards (the solver derives `ln p` from them
-    /// instead of re-taking elementwise logs).
-    pub fn exp_shifted_into(out: &mut Vec<f64>, logits: &[f64], shift: f64) {
-        out.clear();
-        out.extend(logits.iter().map(|&t| poly::exp(t - shift)));
-    }
-}
-
-macro_rules! dispatch {
-    ($name:ident, $($arg:expr),*) => {
-        match active_mode() {
-            KernelMode::Scalar => scalar::$name($($arg),*),
-            KernelMode::Lanes => lanes::$name($($arg),*),
-        }
-    };
-}
-
-/// Shannon entropy `−Σ p·log2 p` in bits, dispatched per
-/// [`active_mode`].
+/// Identical fold to the historical `Dist::entropy_bits`.
 pub fn entropy_bits(probs: &[f64]) -> f64 {
-    dispatch!(entropy_bits, probs)
+    -probs.iter().map(|&p| xlog2x(p)).sum::<f64>()
 }
 
-/// Entropy plus the `log2 p(y)` side table, dispatched per
-/// [`active_mode`].
+/// Entropy plus the `log2 p(y)` table in one pass: fills `log_py`
+/// with `log2 p` (`0.0` where `p ≤ 0`) and returns `−Σ p·log2 p`.
+///
+/// Bit-identical to [`entropy_bits`]: each term is the same
+/// `p * p.log2()` product, accumulated left-to-right and negated
+/// once at the end (IEEE negation commutes with the rounded sum).
+/// The table is what the gradient would otherwise recompute — one
+/// `log2` per output instead of one per output per use.
 pub fn entropy_and_logs(probs: &[f64], log_py: &mut Vec<f64>) -> f64 {
-    dispatch!(entropy_and_logs, probs, log_py)
+    log_py.clear();
+    log_py.reserve(probs.len());
+    let mut s = 0.0;
+    for &p in probs {
+        if p > 0.0 {
+            let lp = p.log2();
+            log_py.push(lp);
+            s += p * lp;
+        } else {
+            log_py.push(0.0);
+        }
+    }
+    -s
 }
 
-/// Sum of a slice, dispatched per [`active_mode`].
+/// Plain left-to-right sum, matching the `Dist::from_weights`
+/// validation fold exactly: an explicit accumulator starting at
+/// `+0.0`. (`Iterator::sum::<f64>()` folds from `−0.0`, which
+/// differs bitwise on empty and all-zero inputs.)
 pub fn sum(xs: &[f64]) -> f64 {
-    dispatch!(sum, xs)
+    let mut s = 0.0;
+    for &x in xs {
+        s += x;
+    }
+    s
 }
 
-/// Dot product `⟨a, b⟩`, dispatched per [`active_mode`].
+/// Dot product `⟨a, b⟩` as a left-to-right fold of products.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    dispatch!(dot, a, b)
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// Maximum element, dispatched per [`active_mode`] (both variants are
-/// bit-identical; the dispatch exists for symmetry and benchmarks).
+/// Maximum element (`−∞` for an empty slice). Exact: `max` is
+/// order-independent on the NaN-free data this crate produces.
 pub fn max_value(xs: &[f64]) -> f64 {
-    dispatch!(max_value, xs)
+    xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Fused `(⟨p, g⟩, max g)` Frank–Wolfe-gap reductions, dispatched per
-/// [`active_mode`].
+/// Fused `(⟨p, g⟩, max g)` — the two reductions of the Frank–Wolfe
+/// gap `max_x g_x − ⟨p, g⟩` in one pass over `g`.
 pub fn dot_and_max(p: &[f64], g: &[f64]) -> (f64, f64) {
-    dispatch!(dot_and_max, p, g)
+    let mut inner = 0.0;
+    let mut max_g = f64::NEG_INFINITY;
+    for (&pi, &gi) in p.iter().zip(g) {
+        inner += pi * gi;
+        max_g = max_g.max(gi);
+    }
+    (inner, max_g)
 }
 
-/// `out[y] += px * row[y]` channel matrix-apply step, dispatched per
-/// [`active_mode`].
+/// Channel matrix-apply row step: `out[y] += px * row[y]`.
 pub fn axpy(out: &mut [f64], px: f64, row: &[f64]) {
-    dispatch!(axpy, out, px, row)
+    for (o, &r) in out.iter_mut().zip(row) {
+        *o += px * r;
+    }
 }
 
-/// In-place log-space softmax, dispatched per [`active_mode`].
+/// Softmax in log space: subtract the max, exponentiate, divide by
+/// the sum. Identical arithmetic to the historical trial-step
+/// normalization of `inner_maximize`.
 pub fn softmax_inplace(logits: &mut [f64]) {
-    dispatch!(softmax_inplace, logits)
+    let m = max_value(logits);
+    for t in logits.iter_mut() {
+        *t = (*t - m).exp();
+    }
+    let z = sum(logits);
+    for t in logits.iter_mut() {
+        *t /= z;
+    }
 }
 
-/// `dst = src / sum(src)` normalization, dispatched per [`active_mode`].
+/// Writes `dst[i] = src[i] / sum(src)` — the normalization step of
+/// `Dist::from_weights`, without the allocation or re-validation.
 pub fn normalize_into(dst: &mut [f64], src: &[f64]) {
-    dispatch!(normalize_into, dst, src)
+    let s = sum(src);
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = v / s;
+    }
 }
 
-/// `xs /= z` elementwise, dispatched per [`active_mode`] (scalar: true
-/// divisions; lanes: one reciprocal multiply pass).
+/// `xs[i] /= z` — one true division per element, matching the
+/// historical normalization loops bitwise.
 pub fn div_assign(xs: &mut [f64], z: f64) {
-    dispatch!(div_assign, xs, z)
+    for x in xs.iter_mut() {
+        *x /= z;
+    }
 }
 
-/// `dst = ln(max(src, floor))` elementwise, dispatched per
-/// [`active_mode`] (scalar: libm `ln`, bit-compatible with the
-/// historical trial step; lanes: polynomial `ln`).
+/// Fills `dst` with `ln(max(src[i], floor))` — the log-space lift of
+/// the exponentiated-gradient step, with `f64::ln` exactly as the
+/// historical per-trial expression computed it.
 pub fn ln_floored_into(dst: &mut Vec<f64>, src: &[f64], floor: f64) {
-    dispatch!(ln_floored_into, dst, src, floor)
+    dst.clear();
+    dst.extend(src.iter().map(|&x| x.max(floor).ln()));
 }
 
 #[cfg(test)]
@@ -615,131 +156,42 @@ mod tests {
     }
 
     #[test]
-    fn scalar_matches_historical_folds() {
+    fn kernels_match_historical_folds() {
         let mut rng = Rng(7);
         for n in [1usize, 2, 3, 4, 5, 7, 8, 16, 31, 200] {
             let a = rng.weights(n);
             let b = rng.weights(n);
-            // The scalar kernels ARE the historical expressions.
+            // The kernels ARE the historical expressions.
             let h_ref = -a.iter().map(|&p| crate::xlog2x(p)).sum::<f64>();
-            assert_eq!(scalar::entropy_bits(&a).to_bits(), h_ref.to_bits());
+            assert_eq!(entropy_bits(&a).to_bits(), h_ref.to_bits());
             let dot_ref: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-            assert_eq!(scalar::dot(&a, &b).to_bits(), dot_ref.to_bits());
+            assert_eq!(dot(&a, &b).to_bits(), dot_ref.to_bits());
             let max_ref = b.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            assert_eq!(scalar::max_value(&b).to_bits(), max_ref.to_bits());
+            assert_eq!(max_value(&b).to_bits(), max_ref.to_bits());
             let sum_ref: f64 = a.iter().sum();
-            assert_eq!(scalar::sum(&a).to_bits(), sum_ref.to_bits());
+            assert_eq!(sum(&a).to_bits(), sum_ref.to_bits());
             let mut logs = Vec::new();
-            assert_eq!(
-                scalar::entropy_and_logs(&a, &mut logs).to_bits(),
-                h_ref.to_bits()
-            );
+            assert_eq!(entropy_and_logs(&a, &mut logs).to_bits(), h_ref.to_bits());
             for (&p, &lp) in a.iter().zip(&logs) {
                 assert_eq!(lp.to_bits(), p.log2().to_bits());
             }
         }
         // Zero-mass entries carry an exact 0.0 log and a zero term.
         let mut logs = Vec::new();
-        let h = scalar::entropy_and_logs(&[0.5, 0.0, 0.5], &mut logs);
+        let h = entropy_and_logs(&[0.5, 0.0, 0.5], &mut logs);
         assert!((h - 1.0).abs() < 1e-15);
         assert_eq!(logs[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn lanes_agree_with_scalar_within_tolerance() {
-        let mut rng = Rng(42);
-        for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 129] {
-            let a = rng.weights(n);
-            let b = rng.weights(n);
-            assert!((lanes::entropy_bits(&a) - scalar::entropy_bits(&a)).abs() < 1e-12);
-            assert!((lanes::sum(&a) - scalar::sum(&a)).abs() < 1e-12);
-            assert!((lanes::dot(&a, &b) - scalar::dot(&a, &b)).abs() < 1e-12);
-            // Max folds are exact in both variants.
-            assert_eq!(
-                lanes::max_value(&b).to_bits(),
-                scalar::max_value(&b).to_bits()
-            );
-            let (si, sm) = scalar::dot_and_max(&a, &b);
-            let (li, lm) = lanes::dot_and_max(&a, &b);
-            assert!((si - li).abs() < 1e-12);
-            assert_eq!(sm.to_bits(), lm.to_bits());
-            let (mut sl, mut ll) = (Vec::new(), Vec::new());
-            let hs = scalar::entropy_and_logs(&a, &mut sl);
-            let hl = lanes::entropy_and_logs(&a, &mut ll);
-            assert!((hs - hl).abs() < 1e-12);
-            // The lane table runs on the polynomial log2: elementwise
-            // agreement within the lane drift budget, not bitwise.
-            for (s, l) in sl.iter().zip(&ll) {
-                assert!((s - l).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn polynomial_transcendentals_track_libm() {
-        let mut rng = Rng(99);
-        // log2 across the full dynamic range the solver feeds it:
-        // probabilities down to subnormals.
-        for scale_exp in [0i32, -8, -64, -300, -320, -1050] {
-            let scale = 2.0f64.powi(scale_exp);
-            for _ in 0..200 {
-                let x = (rng.f64() + 1e-12) * scale;
-                let mut logs = Vec::new();
-                lanes::entropy_and_logs(&[x], &mut logs);
-                assert!(
-                    (logs[0] - x.log2()).abs() < 1e-12,
-                    "poly log2({x:e}) = {} vs {}",
-                    logs[0],
-                    x.log2()
-                );
-            }
-        }
-        // exp via the softmax exponentiation phase: logits spanning the
-        // accept range down to deep underflow.
-        for &shift in &[0.0f64, -10.0, -100.0, -700.0, -745.0, -1000.0] {
-            let mut v = [0.0, shift];
-            let mut s = v;
-            lanes::softmax_inplace(&mut v);
-            scalar::softmax_inplace(&mut s);
-            for (a, b) in v.iter().zip(&s) {
-                assert!((a - b).abs() < 1e-12, "softmax drift at shift {shift}");
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_is_bit_identical_across_variants() {
-        let mut rng = Rng(3);
-        for n in [1usize, 4, 5, 13, 64] {
-            let row = rng.weights(n);
-            let mut a = vec![0.25; n];
-            let mut b = vec![0.25; n];
-            scalar::axpy(&mut a, 0.37, &row);
-            lanes::axpy(&mut b, 0.37, &row);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b));
-        }
-    }
-
-    #[test]
-    fn softmax_produces_a_distribution_in_both_variants() {
+    fn softmax_produces_a_distribution() {
         let mut rng = Rng(11);
         for n in [1usize, 3, 8, 21] {
-            let logits: Vec<f64> = (0..n).map(|_| rng.f64() * 40.0 - 20.0).collect();
-            for variant in [scalar::softmax_inplace, lanes::softmax_inplace] {
-                let mut v = logits.clone();
-                variant(&mut v);
-                let total: f64 = v.iter().sum();
-                assert!((total - 1.0).abs() < 1e-12);
-                assert!(v.iter().all(|&p| p > 0.0));
-            }
-            let mut s = logits.clone();
-            let mut l = logits.clone();
-            scalar::softmax_inplace(&mut s);
-            lanes::softmax_inplace(&mut l);
-            for (a, b) in s.iter().zip(&l) {
-                assert!((a - b).abs() < 1e-12);
-            }
+            let mut v: Vec<f64> = (0..n).map(|_| rng.f64() * 40.0 - 20.0).collect();
+            softmax_inplace(&mut v);
+            let total: f64 = v.iter().sum();
+            assert!((total - 1.0).abs() < 1e-12);
+            assert!(v.iter().all(|&p| p > 0.0));
         }
     }
 
@@ -747,40 +199,19 @@ mod tests {
     fn normalize_into_matches_from_weights() {
         let w = vec![2.0, 2.0, 4.0, 8.0, 0.5];
         let mut out = vec![0.0; w.len()];
-        scalar::normalize_into(&mut out, &w);
+        normalize_into(&mut out, &w);
         let d = crate::Dist::from_weights(w.clone()).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&out), bits(d.as_slice()));
-        let mut lanes_out = vec![0.0; w.len()];
-        lanes::normalize_into(&mut lanes_out, &w);
-        for (a, b) in out.iter().zip(&lanes_out) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]
     fn empty_and_degenerate_slices_are_safe() {
-        assert_eq!(scalar::sum(&[]).to_bits(), 0.0f64.to_bits());
-        assert_eq!(lanes::sum(&[]).to_bits(), 0.0f64.to_bits());
-        assert!(scalar::max_value(&[]).is_infinite());
-        assert!(lanes::max_value(&[]).is_infinite());
-        assert_eq!(scalar::entropy_bits(&[1.0]).to_bits(), (-0.0f64).to_bits());
-        let (i, m) = lanes::dot_and_max(&[], &[]);
+        assert_eq!(sum(&[]).to_bits(), 0.0f64.to_bits());
+        assert!(max_value(&[]).is_infinite());
+        assert_eq!(entropy_bits(&[1.0]).to_bits(), (-0.0f64).to_bits());
+        let (i, m) = dot_and_max(&[], &[]);
         assert_eq!(i.to_bits(), 0.0f64.to_bits());
         assert!(m.is_infinite());
-    }
-
-    #[test]
-    fn mode_name_and_default_dispatch() {
-        assert_eq!(KernelMode::Scalar.name(), "scalar");
-        assert_eq!(KernelMode::Lanes.name(), "lanes");
-        // Whatever the active mode, the dispatched entry points must agree
-        // with the variant they claim to select.
-        let xs = [0.125, 0.5, 0.25, 0.0625, 0.0625];
-        let expect = match active_mode() {
-            KernelMode::Scalar => scalar::entropy_bits(&xs),
-            KernelMode::Lanes => lanes::entropy_bits(&xs),
-        };
-        assert_eq!(entropy_bits(&xs).to_bits(), expect.to_bits());
     }
 }

@@ -18,15 +18,12 @@
 //! * [`dinkelbach`] — a generic single-ratio fractional-programming solver
 //!   (Dinkelbach's transform) plus the concave inner maximizer used to
 //!   compute the maximum data rate `R'_max` (Appendix A).
-//! * [`kernels`] — the vectorized f64 kernel layer under the solver hot
-//!   path (entropy, softmax, reductions, matrix apply), with a
-//!   bit-compatible scalar fallback.
-//! * [`batch`] — lockstep batched `R'_max` solves: many independent
-//!   Dinkelbach instances advanced one inner iteration per round, lanes
-//!   retiring independently on convergence.
+//! * [`kernels`] — the scalar f64 kernels under the solver hot path
+//!   (entropy, softmax, reductions, matrix apply), bit-compatible with
+//!   the historical loops.
 //! * [`rate_table`] — precomputed `R_max` rates for runs of consecutive
-//!   `Maintain` actions (§5.3.4, §7), warm-starting each entry from the
-//!   previous one.
+//!   `Maintain` actions (§5.3.4, §7), each entry warm-started from a
+//!   nearby solved entry.
 //! * [`rmax_cache`] — a thread-safe memo table so identical `R_max`
 //!   solves issued by different experiments run once.
 //!
@@ -54,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod capacity;
 pub mod channel;
 pub mod decompose;
@@ -65,7 +61,6 @@ pub mod kernels;
 pub mod rate_table;
 pub mod rmax_cache;
 
-pub use batch::{BatchDinkelbach, BatchReport};
 pub use channel::{Channel, ChannelConfig, DelayDist};
 pub use decompose::{LeakageBreakdown, TraceEnsemble};
 pub use dinkelbach::{
@@ -73,7 +68,6 @@ pub use dinkelbach::{
     WarmStart,
 };
 pub use dist::Dist;
-pub use kernels::KernelMode;
 pub use rate_table::RateTable;
 pub use rmax_cache::{CacheStats, RmaxCache};
 
@@ -108,11 +102,14 @@ pub enum InfoError {
         residual: f64,
     },
     /// A solver tunable was non-finite, non-positive, or a zero budget
-    /// (see [`dinkelbach::DinkelbachOptions::validate`]).
+    /// (see [`dinkelbach::DinkelbachOptions::validate`]), or a rate table
+    /// asked for more entries than
+    /// [`rate_table::RateTableConfig::MAX_MAINTAINS`] allows.
     InvalidOptions {
         /// Name of the offending option field.
         what: &'static str,
-        /// The rejected value (integer budgets are reported as `0.0`).
+        /// The rejected value (a zero integer budget is reported as
+        /// `0.0`, an oversized `max_maintains` as its value).
         value: f64,
     },
 }

@@ -12,18 +12,17 @@
 //! consecutive `Maintain`s have occurred. [`RateTable`] is that table.
 //!
 //! The table's channel instances are *nested* — entry `m+1` is entry `m`
-//! with a longer cooldown — so each solve warm-starts from the previous
+//! with a longer cooldown — so each solve warm-starts from a nearby
 //! entry's optimal input distribution ([`crate::dinkelbach::WarmStart`]),
 //! cutting inner-solver iterations substantially without changing the
-//! certified rates. [`RateTable::precompute_cached`] additionally
-//! memoizes each entry in an [`RmaxCache`] so identical tables built by
-//! different experiments (every Untangle runner builds one) solve once.
+//! certified rates. [`RateTable::precompute_cached`] memoizes each entry
+//! in an [`RmaxCache`] so identical tables built by different experiments
+//! (every Untangle runner builds one) solve once.
 
 use untangle_obs as obs;
 
-use crate::batch::BatchDinkelbach;
-use crate::channel::{Channel, ChannelConfig, DelayDist};
-use crate::dinkelbach::{DinkelbachOptions, RmaxSolver, SolveStatus, WarmStart};
+use crate::channel::{ChannelConfig, DelayDist};
+use crate::dinkelbach::{DinkelbachOptions, SolveStatus, WarmStart};
 use crate::rmax_cache::RmaxCache;
 use crate::{InfoError, Result};
 
@@ -46,6 +45,12 @@ pub struct RateTableConfig {
 }
 
 impl RateTableConfig {
+    /// Largest accepted [`RateTableConfig::max_maintains`]. Every table in
+    /// this repository uses 16 or fewer; the cap bounds the work one
+    /// config can request (the precompute solves `max_maintains + 1`
+    /// entries), so a hostile credit cannot exhaust memory or time.
+    pub const MAX_MAINTAINS: usize = 64;
+
     /// A small table with sensible defaults for tests and examples:
     /// the given cooldown, 8 symbols spaced by `cooldown / 4` (min 1),
     /// uniform delay of width `cooldown`, capacity 8.
@@ -96,6 +101,8 @@ impl RateTableConfig {
     ///   the table would certify `R_max = 0` for a sender that actually
     ///   has distinguishable symbols).
     /// * [`InfoError::EmptyAlphabet`] — `n_symbols == 0`.
+    /// * [`InfoError::InvalidOptions`] — `max_maintains` above
+    ///   [`RateTableConfig::MAX_MAINTAINS`].
     pub fn validate(&self) -> Result<()> {
         if self.cooldown == 0 {
             return Err(InfoError::InvalidDuration(0));
@@ -105,6 +112,12 @@ impl RateTableConfig {
         }
         if self.n_symbols == 0 {
             return Err(InfoError::EmptyAlphabet);
+        }
+        if self.max_maintains > Self::MAX_MAINTAINS {
+            return Err(InfoError::InvalidOptions {
+                what: "max_maintains",
+                value: self.max_maintains as f64,
+            });
         }
         Ok(())
     }
@@ -130,9 +143,8 @@ impl RateTableConfig {
 
 /// Aggregate solver effort spent precomputing a [`RateTable`].
 ///
-/// Returned by [`RateTable::precompute_with_stats`] and
-/// [`RateTable::precompute_cached`]; the inner-iteration count is the
-/// metric the warm-start optimization is judged on.
+/// Returned by [`RateTable::precompute_cached`]; the inner-iteration
+/// count is the metric the warm-start optimization is judged on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrecomputeStats {
     /// Table entries produced (`max_maintains + 1`).
@@ -144,8 +156,7 @@ pub struct PrecomputeStats {
     /// Total mirror-ascent (inner) iterations across solved entries,
     /// including certification work.
     pub inner_iterations: usize,
-    /// Entries answered by the [`RmaxCache`] (always 0 for the uncached
-    /// paths).
+    /// Entries answered by the [`RmaxCache`].
     pub cache_hits: usize,
     /// Entries whose solve stagnated and returned a
     /// [`SolveStatus::Bracketed`] rate bracket instead of a converged
@@ -181,72 +192,83 @@ pub struct RateTable {
 }
 
 impl RateTable {
-    /// Runs the Dinkelbach solver once per table entry, warm-starting
-    /// each entry from the previous one.
+    /// Precomputes the table with default solver options on a fresh
+    /// cache: [`RateTable::precompute_cached`] for examples and tests.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`RateTable::precompute_cached`].
+    pub fn precompute(config: &RateTableConfig) -> Result<Self> {
+        Self::precompute_cached(config, &DinkelbachOptions::default(), &RmaxCache::new())
+            .map(|(table, _)| table)
+    }
+
+    /// Runs the Dinkelbach solver once per table entry, resolving every
+    /// entry through `cache` as [`RmaxCache::solve_warm`] does.
     ///
     /// Entry `m` models an effective cooldown `(m+1)·T_c` with the same
-    /// alphabet shape.
+    /// alphabet shape. Entries resolve in order, warm-started in waves
+    /// `{1}, {2,3}, {4,5}, …`: entry 0 is solved cold, entry 1 starts
+    /// from entry 0, and each entry `m ≥ 2` starts from entry
+    /// `2⌊(m−2)/2⌋+1` — 2 and 3 from 1, 4 and 5 from 3, and so on. Every
+    /// seed is at most two maintains away from its entry, so the warm
+    /// starts stay close.
+    ///
+    /// This is the schedule every committed result was produced with: an
+    /// earlier batched precompute solved each wave in lockstep from the
+    /// previous wave's last optimum, and every Untangle runner and serve
+    /// table, `benchmark/golden.json` and `results/` were built that way.
+    /// The plain `m−1` chain certifies the same rates only to solver
+    /// tolerance (up to 2.7e-10 apart), which would move every Untangle
+    /// leakage digest, so the schedule stays.
+    ///
+    /// The schedule depends on `m` alone, so identical configurations
+    /// produce identical cache keys — the second table a process builds
+    /// is answered entirely from the cache — and a table with a smaller
+    /// `max_maintains` is answered from the leading entries of a larger
+    /// one.
     ///
     /// # Errors
     ///
     /// Propagates solver or channel construction failures; returns
-    /// [`InfoError::EmptyAlphabet`] if `n_symbols` is zero or
-    /// [`InfoError::InvalidDuration`] for a zero cooldown or step.
-    pub fn precompute(config: &RateTableConfig) -> Result<Self> {
-        Self::precompute_with_options(config, &DinkelbachOptions::default())
-    }
-
-    /// Like [`RateTable::precompute`] with explicit solver options.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RateTable::precompute`].
-    pub fn precompute_with_options(
+    /// [`InfoError::EmptyAlphabet`] if `n_symbols` is zero,
+    /// [`InfoError::InvalidDuration`] for a zero cooldown or step, and
+    /// [`InfoError::InvalidOptions`] for a `max_maintains` above
+    /// [`RateTableConfig::MAX_MAINTAINS`].
+    pub fn precompute_cached(
         config: &RateTableConfig,
         options: &DinkelbachOptions,
-    ) -> Result<Self> {
-        Self::precompute_with_stats(config, options, true).map(|(table, _)| table)
-    }
-
-    /// Precomputes the table and reports solver effort, with the
-    /// warm-start chaining switchable (for before/after comparisons).
-    ///
-    /// With `warm_start == false` every entry solves from a cold uniform
-    /// start, reproducing the pre-optimization behaviour. Certified rates
-    /// are equal either way, up to solver tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RateTable::precompute`].
-    pub fn precompute_with_stats(
-        config: &RateTableConfig,
-        options: &DinkelbachOptions,
-        warm_start: bool,
+        cache: &RmaxCache,
     ) -> Result<(Self, PrecomputeStats)> {
         config.validate()?;
         let _span = obs::span("rate_table.precompute");
         let entries = config.max_maintains + 1;
         let mut rates = Vec::with_capacity(entries);
+        let mut statuses = Vec::with_capacity(entries);
         let mut stats = PrecomputeStats {
             entries,
             ..PrecomputeStats::default()
         };
         let mut warm: Option<WarmStart> = None;
-        let mut statuses = Vec::with_capacity(entries);
         for m in 0..entries {
-            let channel = Channel::new(config.entry_channel_config(m)?)?;
-            let result =
-                RmaxSolver::with_options(channel, options.clone()).solve_warm(warm.as_ref())?;
-            stats.solves += 1;
-            stats.outer_iterations += result.diagnostics.outer_iterations;
-            stats.inner_iterations += result.diagnostics.inner_iterations;
+            let (result, hit) =
+                cache.lookup_or_solve(&config.entry_channel_config(m)?, options, warm.as_ref())?;
+            if hit {
+                stats.cache_hits += 1;
+            } else {
+                stats.solves += 1;
+                stats.outer_iterations += result.diagnostics.outer_iterations;
+                stats.inner_iterations += result.diagnostics.inner_iterations;
+            }
             if !result.status.is_converged() {
                 stats.bracketed += 1;
             }
             obs::counter_add("rate_table.entries", 1);
             rates.push(result.upper_bound);
             statuses.push(result.status);
-            if warm_start {
+            // Entry 0 seeds wave {1}; the last (odd) entry of each wave
+            // seeds the next one.
+            if m == 0 || m % 2 == 1 {
                 warm = Some(WarmStart::from_result(&result));
             }
         }
@@ -261,265 +283,20 @@ impl RateTable {
         ))
     }
 
-    /// Warm-started precompute with every entry memoized in `cache`.
+    /// Precomputes one table per config through the shared `cache`, in
+    /// input order, with [`RateTable::precompute_cached`].
     ///
-    /// The warm-start chain is deterministic (entry 0 is cold, entry
-    /// `m+1` starts from entry `m`'s optimum), so identical table
-    /// configurations produce identical cache keys and the second table a
-    /// process builds is answered entirely from the cache.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RateTable::precompute`].
-    pub fn precompute_cached(
-        config: &RateTableConfig,
-        options: &DinkelbachOptions,
-        cache: &RmaxCache,
-    ) -> Result<(Self, PrecomputeStats)> {
-        config.validate()?;
-        let _span = obs::span("rate_table.precompute");
-        let entries = config.max_maintains + 1;
-        let mut rates = Vec::with_capacity(entries);
-        let mut stats = PrecomputeStats {
-            entries,
-            ..PrecomputeStats::default()
-        };
-        let mut warm: Option<WarmStart> = None;
-        let mut statuses = Vec::with_capacity(entries);
-        for m in 0..entries {
-            let channel_config = config.entry_channel_config(m)?;
-            let before = cache.stats();
-            let result = cache.solve_warm(&channel_config, options, warm.as_ref())?;
-            if cache.stats().hits > before.hits {
-                stats.cache_hits += 1;
-            } else {
-                stats.solves += 1;
-                stats.outer_iterations += result.diagnostics.outer_iterations;
-                stats.inner_iterations += result.diagnostics.inner_iterations;
-            }
-            if !result.status.is_converged() {
-                stats.bracketed += 1;
-            }
-            obs::counter_add("rate_table.entries", 1);
-            rates.push(result.upper_bound);
-            statuses.push(result.status);
-            warm = Some(WarmStart::from_result(&result));
-        }
-        Self::record_precompute(&stats);
-        Ok((
-            Self {
-                config: config.clone(),
-                rates,
-                statuses,
-            },
-            stats,
-        ))
-    }
-
-    /// Precomputes the table as a batched sweep: entry 0 solves alone,
-    /// then entries `1..=max_maintains` advance in lockstep through
-    /// [`BatchDinkelbach`] waves (`{1}`, `{2,3}`, `{4,5}`, …), every
-    /// lane of a wave warm-started from the previous wave's last
-    /// optimum.
-    ///
-    /// The narrow waves keep the warm starts *close*: each lane is
-    /// seeded from an entry at most 2 maintains away, instead of the
-    /// table-wide fan-out from entry 0 whose far lanes start cold in
-    /// practice. The width cap is empirical: wider waves coalesce more
-    /// lanes per sweep but seed them from farther away, and the extra
-    /// ascent iterations cost more than the coalescing saves (759 total
-    /// inner iterations at width 2 vs 798 at width 4 vs 1190 for the
-    /// full fan-out, against the sequential chain's ~720).
-    ///
-    /// The wave warm start is sound for the same reason the sequential
-    /// chain is: any feasible input distribution is a valid starting
-    /// point, and the seeded ratio `q₀ = N(p)/D(p)` it induces on the
-    /// lane's own channel is an achieved — hence true — lower bound.
-    /// Certified rates agree with the sequential paths up to solver
-    /// tolerance; per-lane Frank–Wolfe certification is unchanged.
+    /// This is the serve daemon's path when tenants with distinct Maintain
+    /// credits arrive together. Tables with the same channel shape share
+    /// their leading entries, so each table after the first answers those
+    /// from the cache. (The name is historical: the tables used to be
+    /// solved as one lockstep batch, with the same rates.)
     ///
     /// # Errors
     ///
-    /// Same as [`RateTable::precompute`].
-    pub fn precompute_batched(
-        config: &RateTableConfig,
-        options: &DinkelbachOptions,
-    ) -> Result<(Self, PrecomputeStats)> {
-        config.validate()?;
-        let _span = obs::span("rate_table.precompute_batched");
-        let entries = config.max_maintains + 1;
-        let mut stats = PrecomputeStats {
-            entries,
-            ..PrecomputeStats::default()
-        };
-        // Entry 0 is the only cold solve; its optimum seeds wave {1}.
-        let seed_channel = Channel::new(config.entry_channel_config(0)?)?;
-        let seed = RmaxSolver::with_options(seed_channel, options.clone()).solve()?;
-        stats.solves += 1;
-        stats.outer_iterations += seed.diagnostics.outer_iterations;
-        stats.inner_iterations += seed.diagnostics.inner_iterations;
-        obs::counter_add("rate_table.entries", 1);
-
-        let mut rates = Vec::with_capacity(entries);
-        let mut statuses = Vec::with_capacity(entries);
-        rates.push(seed.upper_bound);
-        statuses.push(seed.status);
-        if !seed.status.is_converged() {
-            stats.bracketed += 1;
-        }
-        let mut warm = WarmStart::from_result(&seed);
-        let mut start = 1usize;
-        let mut width = 1usize;
-        while start < entries {
-            let end = (start + width).min(entries);
-            let mut batch = BatchDinkelbach::new(options.clone());
-            for m in start..end {
-                batch.push(
-                    Channel::new(config.entry_channel_config(m)?)?,
-                    Some(warm.clone()),
-                );
-            }
-            let report = batch.solve()?;
-            for result in &report.results {
-                stats.solves += 1;
-                stats.outer_iterations += result.diagnostics.outer_iterations;
-                stats.inner_iterations += result.diagnostics.inner_iterations;
-                if !result.status.is_converged() {
-                    stats.bracketed += 1;
-                }
-                obs::counter_add("rate_table.entries", 1);
-                rates.push(result.upper_bound);
-                statuses.push(result.status);
-            }
-            if let Some(last) = report.results.last() {
-                warm = WarmStart::from_result(last);
-            }
-            start = end;
-            width = (width * 2).min(2);
-        }
-        Self::record_precompute(&stats);
-        Ok((
-            Self {
-                config: config.clone(),
-                rates,
-                statuses,
-            },
-            stats,
-        ))
-    }
-
-    /// Batched precompute with every entry memoized in `cache`.
-    ///
-    /// Entry 0 resolves through the cache first (cold key); the remaining
-    /// entries go through [`RmaxCache::solve_batch`] in the same narrow
-    /// waves as [`RateTable::precompute_batched`], each wave answering
-    /// hits from the memo table and coalescing its misses into one
-    /// [`BatchDinkelbach`] sweep seeded from the previous wave's last
-    /// result. The wave warm starts key differently than
-    /// [`RateTable::precompute_cached`]'s sequential chain, so the two
-    /// paths populate disjoint cache entries; each path is individually
-    /// deterministic and self-consistent.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RateTable::precompute`].
-    pub fn precompute_batched_cached(
-        config: &RateTableConfig,
-        options: &DinkelbachOptions,
-        cache: &RmaxCache,
-    ) -> Result<(Self, PrecomputeStats)> {
-        config.validate()?;
-        let _span = obs::span("rate_table.precompute_batched");
-        let entries = config.max_maintains + 1;
-        let mut stats = PrecomputeStats {
-            entries,
-            ..PrecomputeStats::default()
-        };
-        let before = cache.stats();
-        let seed = cache.solve_warm(&config.entry_channel_config(0)?, options, None)?;
-        if cache.stats().hits > before.hits {
-            stats.cache_hits += 1;
-        } else {
-            stats.solves += 1;
-            stats.outer_iterations += seed.diagnostics.outer_iterations;
-            stats.inner_iterations += seed.diagnostics.inner_iterations;
-        }
-        obs::counter_add("rate_table.entries", 1);
-
-        let mut rates = Vec::with_capacity(entries);
-        let mut statuses = Vec::with_capacity(entries);
-        rates.push(seed.upper_bound);
-        statuses.push(seed.status);
-        if !seed.status.is_converged() {
-            stats.bracketed += 1;
-        }
-        let mut warm = WarmStart::from_result(&seed);
-        let mut start = 1usize;
-        let mut width = 1usize;
-        while start < entries {
-            let end = (start + width).min(entries);
-            let mut requests = Vec::with_capacity(end - start);
-            for m in start..end {
-                requests.push((config.entry_channel_config(m)?, Some(warm.clone())));
-            }
-            let answered = cache.solve_batch(&requests, options)?;
-            for (result, was_hit) in &answered {
-                if *was_hit {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.solves += 1;
-                    stats.outer_iterations += result.diagnostics.outer_iterations;
-                    stats.inner_iterations += result.diagnostics.inner_iterations;
-                }
-                if !result.status.is_converged() {
-                    stats.bracketed += 1;
-                }
-                obs::counter_add("rate_table.entries", 1);
-                rates.push(result.upper_bound);
-                statuses.push(result.status);
-            }
-            if let Some((last, _)) = answered.last() {
-                warm = WarmStart::from_result(last);
-            }
-            start = end;
-            width = (width * 2).min(2);
-        }
-        Self::record_precompute(&stats);
-        Ok((
-            Self {
-                config: config.clone(),
-                rates,
-                statuses,
-            },
-            stats,
-        ))
-    }
-
-    /// Precomputes **many** tables at once, coalescing same-wave solves
-    /// across tables into single [`RmaxCache::solve_batch`] calls.
-    ///
-    /// This is the cross-shard miss path of the serve daemon: when
-    /// several tenants with distinct scheme parameters are admitted in
-    /// one ingest burst, each needs its own rate table, and solving
-    /// them table-by-table would serialize the Dinkelbach sweeps. Here
-    /// wave `k` of every table runs as one batch (all seeds together,
-    /// then all `{1}` waves, then all `{2,3}` waves, …), while each
-    /// table's warm-start chain advances exactly as in
-    /// [`RateTable::precompute_batched_cached`]. Cache keys are
-    /// therefore identical to the single-table path — lanes share no
-    /// state, so every table comes out **bit-identical** to a
-    /// standalone build, and either path can answer the other's future
-    /// lookups from the memo table.
-    ///
-    /// Returns one `(table, stats)` pair per input config, in input
-    /// order. Duplicate configs advance in the same waves and solve as
-    /// duplicate lanes, producing identical tables (a later *call*
-    /// answers them from the cache).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RateTable::precompute`]; the first invalid config
-    /// fails the whole call.
+    /// Same as [`RateTable::precompute_cached`]. Every config is
+    /// validated before any solve starts, so an invalid config fails the
+    /// whole call without solver work.
     pub fn precompute_many_batched_cached(
         configs: &[RateTableConfig],
         options: &DinkelbachOptions,
@@ -528,118 +305,10 @@ impl RateTable {
         for config in configs {
             config.validate()?;
         }
-        if configs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _span = obs::span("rate_table.precompute_many_batched");
-
-        /// In-flight state of one table's narrow-wave sweep.
-        struct Build {
-            rates: Vec<f64>,
-            statuses: Vec<SolveStatus>,
-            stats: PrecomputeStats,
-            /// The previous wave's last result, seeding the next wave.
-            warm: Option<WarmStart>,
-            /// Next entry index to solve.
-            start: usize,
-            /// Width of the next wave (1 for the seed and first wave,
-            /// then 2 — the same `{0}, {1}, {2,3}, {4,5}, …` schedule
-            /// as the single-table sweep).
-            width: usize,
-            entries: usize,
-        }
-        let mut builds: Vec<Build> = configs
+        configs
             .iter()
-            .map(|c| {
-                let entries = c.max_maintains + 1;
-                Build {
-                    rates: Vec::with_capacity(entries),
-                    statuses: Vec::with_capacity(entries),
-                    stats: PrecomputeStats {
-                        entries,
-                        ..PrecomputeStats::default()
-                    },
-                    warm: None,
-                    start: 0,
-                    width: 1,
-                    entries,
-                }
-            })
-            .collect();
-
-        loop {
-            // Collect this round's wave from every unfinished table.
-            let mut requests = Vec::new();
-            let mut owners: Vec<(usize, usize)> = Vec::new();
-            for (t, build) in builds.iter().enumerate() {
-                if build.start >= build.entries {
-                    continue;
-                }
-                let end = (build.start + build.width).min(build.entries);
-                for m in build.start..end {
-                    requests.push((configs[t].entry_channel_config(m)?, build.warm.clone()));
-                }
-                owners.push((t, end - build.start));
-            }
-            if requests.is_empty() {
-                break;
-            }
-            let answered = cache.solve_batch(&requests, options)?;
-            if answered.len() != requests.len() {
-                return Err(InfoError::LengthMismatch {
-                    expected: requests.len(),
-                    actual: answered.len(),
-                });
-            }
-            // Distribute results back to their tables in request order.
-            let mut cursor = 0usize;
-            for (t, count) in owners {
-                let build = &mut builds[t];
-                let slice = &answered[cursor..cursor + count];
-                cursor += count;
-                for (result, was_hit) in slice {
-                    if *was_hit {
-                        build.stats.cache_hits += 1;
-                    } else {
-                        build.stats.solves += 1;
-                        build.stats.outer_iterations += result.diagnostics.outer_iterations;
-                        build.stats.inner_iterations += result.diagnostics.inner_iterations;
-                    }
-                    if !result.status.is_converged() {
-                        build.stats.bracketed += 1;
-                    }
-                    obs::counter_add("rate_table.entries", 1);
-                    build.rates.push(result.upper_bound);
-                    build.statuses.push(result.status);
-                }
-                if let Some((last, _)) = slice.last() {
-                    build.warm = Some(WarmStart::from_result(last));
-                }
-                let was_seed_wave = build.start == 0;
-                build.start += count;
-                build.width = if was_seed_wave {
-                    1
-                } else {
-                    (build.width * 2).min(2)
-                };
-            }
-        }
-
-        Ok(builds
-            .iter()
-            .zip(configs)
-            .map(|(build, config)| {
-                Self::record_precompute(&build.stats);
-                (
-                    Self {
-                        config: config.clone(),
-                        rates: build.rates.clone(),
-                        statuses: build.statuses.clone(),
-                    },
-                    build.stats,
-                )
-            })
-            .collect())
+            .map(|config| Self::precompute_cached(config, options, cache))
+            .collect()
     }
 
     /// Records one finished precompute into the obs layer: progress
@@ -730,6 +399,8 @@ impl RateTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Channel;
+    use crate::dinkelbach::{RmaxResult, RmaxSolver};
 
     fn small_config() -> RateTableConfig {
         RateTableConfig {
@@ -823,30 +494,92 @@ mod tests {
         );
     }
 
+    /// Solves every entry of `config` cold, one [`RmaxSolver::solve`]
+    /// call per entry: the reference the warm-started table is judged
+    /// against.
+    fn cold_entries(config: &RateTableConfig, opts: &DinkelbachOptions) -> Vec<RmaxResult> {
+        (0..=config.max_maintains)
+            .map(|m| {
+                let channel = Channel::new(config.entry_channel_config(m).unwrap()).unwrap();
+                RmaxSolver::with_options(channel, opts.clone())
+                    .solve()
+                    .unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn warm_start_matches_cold_rates_with_fewer_inner_iterations() {
         let opts = DinkelbachOptions::default();
         let (warm_table, warm_stats) =
-            RateTable::precompute_with_stats(&small_config(), &opts, true).unwrap();
-        let (cold_table, cold_stats) =
-            RateTable::precompute_with_stats(&small_config(), &opts, false).unwrap();
-        for (m, (w, c)) in warm_table
-            .rates()
-            .iter()
-            .zip(cold_table.rates())
-            .enumerate()
-        {
+            RateTable::precompute_cached(&small_config(), &opts, &RmaxCache::new()).unwrap();
+        let cold = cold_entries(&small_config(), &opts);
+        let cold_inner: usize = cold.iter().map(|r| r.diagnostics.inner_iterations).sum();
+        for (m, (w, c)) in warm_table.rates().iter().zip(&cold).enumerate() {
             assert!(
-                (w - c).abs() < 1e-9,
-                "entry {m}: warm {w} vs cold {c} disagree beyond tolerance"
+                (w - c.upper_bound).abs() < 1e-9,
+                "entry {m}: warm {w} vs cold {} disagree beyond tolerance",
+                c.upper_bound
             );
         }
         assert!(
-            warm_stats.inner_iterations < cold_stats.inner_iterations,
-            "warm start must reduce inner iterations: {} !< {}",
+            warm_stats.inner_iterations < cold_inner,
+            "warm start must reduce inner iterations: {} !< {cold_inner}",
             warm_stats.inner_iterations,
-            cold_stats.inner_iterations
         );
+    }
+
+    #[test]
+    fn warm_starts_follow_the_wave_schedule() {
+        // Entry 0 cold, entry 1 from entry 0, entry m >= 2 from entry
+        // 2*floor((m-2)/2)+1, each solved directly (no cache).
+        let cfg = RateTableConfig {
+            max_maintains: 6,
+            ..small_config()
+        };
+        let opts = DinkelbachOptions::default();
+        let table = RateTable::precompute(&cfg).unwrap();
+        let mut solved: Vec<RmaxResult> = Vec::new();
+        for m in 0..=cfg.max_maintains {
+            let seed = match m {
+                0 => None,
+                1 => Some(0),
+                _ => Some(2 * ((m - 2) / 2) + 1),
+            };
+            let warm = seed.map(|i| WarmStart::from_result(&solved[i]));
+            let channel = Channel::new(cfg.entry_channel_config(m).unwrap()).unwrap();
+            let result = RmaxSolver::with_options(channel, opts.clone())
+                .solve_warm(warm.as_ref())
+                .unwrap();
+            solved.push(result);
+        }
+        for (m, (rate, direct)) in table.rates().iter().zip(&solved).enumerate() {
+            assert_eq!(rate.to_bits(), direct.upper_bound.to_bits(), "entry {m}");
+            assert_eq!(table.status(m), direct.status, "entry {m}");
+        }
+    }
+
+    #[test]
+    fn wave_schedule_matches_previous_entry_chain_within_tolerance() {
+        // The plain m-1 warm-start chain certifies the same rates up to
+        // solver tolerance; the table keeps the wave schedule only so
+        // committed results stay bit-identical.
+        let opts = DinkelbachOptions::default();
+        let table = RateTable::precompute(&small_config()).unwrap();
+        let mut warm: Option<WarmStart> = None;
+        for m in 0..table.len() {
+            let channel = Channel::new(small_config().entry_channel_config(m).unwrap()).unwrap();
+            let chained = RmaxSolver::with_options(channel, opts.clone())
+                .solve_warm(warm.as_ref())
+                .unwrap();
+            assert!(
+                (table.rate(m) - chained.upper_bound).abs() < 1e-9,
+                "entry {m}: wave {} vs chain {} disagree beyond tolerance",
+                table.rate(m),
+                chained.upper_bound
+            );
+            warm = Some(WarmStart::from_result(&chained));
+        }
     }
 
     #[test]
@@ -859,7 +592,7 @@ mod tests {
         // Starved budgets must surface as Bracketed entries, not errors.
         let opts = DinkelbachOptions::default().with_budgets(1, 2).unwrap();
         let (starved, stats) =
-            RateTable::precompute_with_stats(&small_config(), &opts, true).unwrap();
+            RateTable::precompute_cached(&small_config(), &opts, &RmaxCache::new()).unwrap();
         assert!(!starved.all_converged());
         assert_eq!(
             stats.bracketed,
@@ -893,76 +626,70 @@ mod tests {
     }
 
     #[test]
-    fn cached_precompute_matches_uncached() {
-        let cache = RmaxCache::new();
-        let opts = DinkelbachOptions::default();
-        let (cached, _) = RateTable::precompute_cached(&small_config(), &opts, &cache).unwrap();
-        let plain = RateTable::precompute_with_options(&small_config(), &opts).unwrap();
-        assert_eq!(cached.rates(), plain.rates());
-    }
-
-    #[test]
-    fn batched_precompute_matches_sequential_within_tolerance() {
-        let opts = DinkelbachOptions::default();
-        let (batched, bstats) = RateTable::precompute_batched(&small_config(), &opts).unwrap();
-        let (sequential, _) =
-            RateTable::precompute_with_stats(&small_config(), &opts, true).unwrap();
-        assert_eq!(batched.len(), sequential.len());
-        assert_eq!(bstats.solves, batched.len());
-        for (m, (b, s)) in batched.rates().iter().zip(sequential.rates()).enumerate() {
-            assert!(
-                (b - s).abs() < 1e-9,
-                "entry {m}: batched {b} vs sequential {s} disagree beyond tolerance"
-            );
-        }
-        assert!(batched.all_converged());
-    }
-
-    #[test]
-    fn batched_precompute_handles_single_entry_table() {
+    fn single_entry_table_is_one_cold_solve() {
         let cfg = RateTableConfig {
             max_maintains: 0,
             ..small_config()
         };
         let opts = DinkelbachOptions::default();
-        let (table, stats) = RateTable::precompute_batched(&cfg, &opts).unwrap();
+        let (table, stats) = RateTable::precompute_cached(&cfg, &opts, &RmaxCache::new()).unwrap();
         assert_eq!(table.len(), 1);
         assert_eq!(stats.solves, 1);
-        let plain = RateTable::precompute_with_options(&cfg, &opts).unwrap();
-        assert_eq!(table.rates(), plain.rates());
+        let cold = cold_entries(&cfg, &opts);
+        assert_eq!(table.rate(0).to_bits(), cold[0].upper_bound.to_bits());
     }
 
     #[test]
-    fn batched_cached_precompute_hits_on_second_build() {
-        let cache = RmaxCache::new();
-        let opts = DinkelbachOptions::default();
-        let (first, s1) =
-            RateTable::precompute_batched_cached(&small_config(), &opts, &cache).unwrap();
-        let (second, s2) =
-            RateTable::precompute_batched_cached(&small_config(), &opts, &cache).unwrap();
-        assert_eq!(first.rates(), second.rates());
-        assert_eq!(s1.cache_hits, 0);
-        assert_eq!(s1.solves, first.len());
-        assert_eq!(s2.cache_hits, second.len());
-        assert_eq!(s2.solves, 0);
+    fn max_maintains_is_capped() {
+        let at_cap = RateTableConfig {
+            max_maintains: RateTableConfig::MAX_MAINTAINS,
+            ..small_config()
+        };
+        assert_eq!(at_cap.validate(), Ok(()));
+        for max_maintains in [RateTableConfig::MAX_MAINTAINS + 1, usize::MAX] {
+            let cfg = RateTableConfig {
+                max_maintains,
+                ..small_config()
+            };
+            assert!(matches!(
+                cfg.validate(),
+                Err(InfoError::InvalidOptions {
+                    what: "max_maintains",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
-    fn batched_cached_matches_batched_uncached() {
+    fn many_batched_rejects_an_oversized_table_without_solving() {
+        // A hostile credit of usize::MAX used to overflow the capacity
+        // computation; it must now fail validation before any solve.
         let cache = RmaxCache::new();
-        let opts = DinkelbachOptions::default();
-        let (cached, _) =
-            RateTable::precompute_batched_cached(&small_config(), &opts, &cache).unwrap();
-        let (plain, _) = RateTable::precompute_batched(&small_config(), &opts).unwrap();
-        assert_eq!(cached.rates(), plain.rates());
-        assert_eq!(cached.statuses(), plain.statuses());
+        let huge = RateTableConfig {
+            max_maintains: usize::MAX,
+            ..small_config()
+        };
+        let result = RateTable::precompute_many_batched_cached(
+            &[small_config(), huge],
+            &DinkelbachOptions::default(),
+            &cache,
+        );
+        assert!(matches!(
+            result,
+            Err(InfoError::InvalidOptions {
+                what: "max_maintains",
+                ..
+            })
+        ));
+        assert!(cache.is_empty(), "validation must precede every solve");
     }
 
     #[test]
     fn many_batched_is_bit_identical_to_single_table_builds() {
-        // Three tables of different shapes built in one coalesced call
-        // vs each built standalone on a fresh cache: rates must agree
-        // bit for bit (same cache keys, lane-independent solves).
+        // Three tables of different shapes built in one call through a
+        // shared cache vs each built standalone on a fresh cache: rates
+        // and statuses must agree bit for bit.
         let configs = [
             small_config(),
             RateTableConfig {
@@ -979,14 +706,17 @@ mod tests {
             RateTable::precompute_many_batched_cached(&configs, &opts, &RmaxCache::new()).unwrap();
         assert_eq!(many.len(), configs.len());
         for (config, (table, stats)) in configs.iter().zip(&many) {
-            let (single, sstats) =
-                RateTable::precompute_batched_cached(config, &opts, &RmaxCache::new()).unwrap();
+            let (single, _) =
+                RateTable::precompute_cached(config, &opts, &RmaxCache::new()).unwrap();
             let bits = |t: &RateTable| t.rates().iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(table), bits(&single));
             assert_eq!(table.statuses(), single.statuses());
-            assert_eq!(stats.solves, sstats.solves);
-            assert_eq!(stats.inner_iterations, sstats.inner_iterations);
+            assert_eq!(stats.solves + stats.cache_hits, stats.entries);
         }
+        // The second table is a prefix of the first: answered entirely
+        // from the shared cache.
+        assert_eq!(many[1].1.cache_hits, 3);
+        assert_eq!(many[1].1.solves, 0);
     }
 
     #[test]
@@ -1000,9 +730,9 @@ mod tests {
         assert_eq!(second[0].1.cache_hits, second[0].0.len());
         assert_eq!(second[0].1.solves, 0);
         // And the many-path populates the same keys the single-table
-        // batched path reads.
+        // path reads.
         let (from_single, s) =
-            RateTable::precompute_batched_cached(&small_config(), &opts, &cache).unwrap();
+            RateTable::precompute_cached(&small_config(), &opts, &cache).unwrap();
         assert_eq!(s.solves, 0);
         assert_eq!(from_single.rates(), first[0].0.rates());
     }

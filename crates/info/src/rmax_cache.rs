@@ -2,9 +2,9 @@
 //!
 //! The evaluation pipeline issues the same Dinkelbach solve many times:
 //! every Untangle [`Runner`](../../untangle_core) rebuilds an identical
-//! rate table per mix, `exp_channel` sweeps revisit grid points, and
-//! `exp_table6` re-solves the channels that `RateTable::precompute`
-//! already solved. [`RmaxCache`] deduplicates that work behind a
+//! rate table per mix, the serve engine's tables for different Maintain
+//! credits share their leading entries, and `exp_channel` sweeps revisit
+//! grid points. [`RmaxCache`] deduplicates that work behind a
 //! thread-safe map keyed on a **canonicalized** description of the solve:
 //! the full [`ChannelConfig`] (cooldown, duration alphabet, delay
 //! distribution), every [`DinkelbachOptions`] field, and — for
@@ -207,6 +207,20 @@ impl RmaxCache {
         options: &DinkelbachOptions,
         warm: Option<&WarmStart>,
     ) -> Result<RmaxResult> {
+        self.lookup_or_solve(config, options, warm)
+            .map(|(result, _)| result)
+    }
+
+    /// [`RmaxCache::solve_warm`], also reporting whether the result came
+    /// from the map (`true`) or from a solve this call ran (`false`), so
+    /// callers can attribute solver effort without racing on
+    /// [`RmaxCache::stats`].
+    pub(crate) fn lookup_or_solve(
+        &self,
+        config: &ChannelConfig,
+        options: &DinkelbachOptions,
+        warm: Option<&WarmStart>,
+    ) -> Result<(RmaxResult, bool)> {
         let key = Key::build(config, options, warm);
         {
             let mut inner = self.lock_inner();
@@ -215,7 +229,7 @@ impl RmaxCache {
                 inner.hits += 1;
                 drop(inner);
                 obs::counter_add("rmax_cache.hits", 1);
-                return Ok(result);
+                return Ok((result, true));
             }
         }
         // Solve outside the lock so concurrent distinct solves overlap. Two
@@ -230,98 +244,7 @@ impl RmaxCache {
             inner.map.insert(key, result.clone());
         }
         obs::counter_add("rmax_cache.misses", 1);
-        Ok(result)
-    }
-
-    /// Memoized batch solve: answers each request from the map when
-    /// possible and coalesces every miss into a single
-    /// [`crate::BatchDinkelbach`] sweep, so a miss storm (e.g. the first
-    /// rate-table build of a process) runs as one lockstep batch instead
-    /// of a sequence of independent solves.
-    ///
-    /// Results come back in request order, each tagged with whether it was
-    /// answered from the cache (`true`) or solved in the batch (`false`).
-    /// Lanes share no state, so batched results are bit-identical to what
-    /// [`RmaxCache::solve_warm`] would have produced for each request
-    /// individually — the cache stays deterministic regardless of which
-    /// path populated it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel-construction and solver errors; failures are not
-    /// cached.
-    pub fn solve_batch(
-        &self,
-        requests: &[(ChannelConfig, Option<WarmStart>)],
-        options: &DinkelbachOptions,
-    ) -> Result<Vec<(RmaxResult, bool)>> {
-        let keys: Vec<Key> = requests
-            .iter()
-            .map(|(config, warm)| Key::build(config, options, warm.as_ref()))
-            .collect();
-        // Partition into hits and misses under one lock acquisition.
-        let mut hits: Vec<Option<RmaxResult>> = Vec::with_capacity(requests.len());
-        let mut miss_indices = Vec::new();
-        {
-            let mut inner = self.lock_inner();
-            for (i, key) in keys.iter().enumerate() {
-                match inner.map.get(key).cloned() {
-                    Some(result) => {
-                        inner.hits += 1;
-                        hits.push(Some(result));
-                    }
-                    None => {
-                        miss_indices.push(i);
-                        hits.push(None);
-                    }
-                }
-            }
-        }
-        obs::counter_add(
-            "rmax_cache.hits",
-            (requests.len() - miss_indices.len()) as u64,
-        );
-        // Solve all misses as one lockstep batch, outside the lock (same
-        // racing discipline as solve_warm: a concurrent duplicate solve is
-        // a harmless overwrite with an identical value).
-        let mut solved = if miss_indices.is_empty() {
-            Vec::new().into_iter()
-        } else {
-            let mut batch = crate::batch::BatchDinkelbach::new(options.clone());
-            for &i in &miss_indices {
-                let (config, warm) = &requests[i];
-                batch.push(Channel::new(config.clone())?, warm.clone());
-            }
-            let report = batch.solve()?;
-            {
-                let mut inner = self.lock_inner();
-                for (&i, result) in miss_indices.iter().zip(&report.results) {
-                    inner.misses += 1;
-                    inner.map.insert(keys[i].clone(), result.clone());
-                }
-            }
-            obs::counter_add("rmax_cache.misses", miss_indices.len() as u64);
-            report.results.into_iter()
-        };
-        // Merge: the batch returns exactly one result per pushed lane, in
-        // push (= miss) order, so draining it fills every empty slot. The
-        // error arm is defensive — a short batch would be a solver bug.
-        let mut out = Vec::with_capacity(requests.len());
-        for slot in hits {
-            match slot {
-                Some(result) => out.push((result, true)),
-                None => match solved.next() {
-                    Some(result) => out.push((result, false)),
-                    None => {
-                        return Err(crate::InfoError::LengthMismatch {
-                            expected: requests.len(),
-                            actual: out.len(),
-                        })
-                    }
-                },
-            }
-        }
-        Ok(out)
+        Ok((result, false))
     }
 
     /// A consistent snapshot of the counters, taken under the map lock
@@ -525,67 +448,6 @@ mod tests {
         // A second clear of an empty cache evicts nothing further.
         cache.clear();
         assert_eq!(cache.stats().evictions, 2);
-    }
-
-    #[test]
-    fn solve_batch_matches_individual_solves_bitwise() {
-        let batch_cache = RmaxCache::new();
-        let seq_cache = RmaxCache::new();
-        let opts = DinkelbachOptions::default();
-        let requests: Vec<(ChannelConfig, Option<WarmStart>)> =
-            (3..7).map(|c| (config(c, 5), None)).collect();
-        let batched = batch_cache.solve_batch(&requests, &opts).unwrap();
-        assert_eq!(batched.len(), requests.len());
-        for ((config, _), (result, was_hit)) in requests.iter().zip(&batched) {
-            assert!(!was_hit, "fresh cache must miss");
-            let individual = seq_cache.solve(config, &opts).unwrap();
-            assert_eq!(result.rate.to_bits(), individual.rate.to_bits());
-            assert_eq!(
-                result.upper_bound.to_bits(),
-                individual.upper_bound.to_bits()
-            );
-            assert_eq!(result.input.as_slice(), individual.input.as_slice());
-        }
-        assert_eq!(batch_cache.stats().misses, requests.len() as u64);
-    }
-
-    #[test]
-    fn solve_batch_mixes_hits_and_misses_in_request_order() {
-        let cache = RmaxCache::new();
-        let opts = DinkelbachOptions::default();
-        // Pre-populate one of the three keys.
-        let warm_seed = cache.solve(&config(3, 5), &opts).unwrap();
-        let warm = WarmStart::from_result(&warm_seed);
-        let requests = vec![
-            (config(4, 5), Some(warm.clone())),
-            (config(3, 5), None), // already cached
-            (config(5, 5), Some(warm.clone())),
-        ];
-        let answered = cache.solve_batch(&requests, &opts).unwrap();
-        assert_eq!(answered.len(), 3);
-        assert!(!answered[0].1);
-        assert!(answered[1].1, "pre-populated key must hit");
-        assert!(!answered[2].1);
-        assert_eq!(
-            answered[1].0.rate.to_bits(),
-            warm_seed.rate.to_bits(),
-            "hit must return the stored result"
-        );
-        // A second identical batch is all hits.
-        let again = cache.solve_batch(&requests, &opts).unwrap();
-        for ((first, _), (second, was_hit)) in answered.iter().zip(&again) {
-            assert!(was_hit);
-            assert_eq!(first.rate.to_bits(), second.rate.to_bits());
-        }
-    }
-
-    #[test]
-    fn solve_batch_empty_request_list() {
-        let cache = RmaxCache::new();
-        let opts = DinkelbachOptions::default();
-        let answered = cache.solve_batch(&[], &opts).unwrap();
-        assert!(answered.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -1,26 +1,16 @@
-//! Property-style equivalence suite for the solver kernel layer.
+//! Equivalence suite for the solver kernel layer.
 //!
-//! Three claims are checked across randomized channels and vectors:
-//!
-//! 1. The `lanes` kernel variants agree with the `scalar` variants —
-//!    bitwise for `axpy` and the max-folds (identical arithmetic per
-//!    element), and to ≤ 1e-12 for the summation kernels (4-accumulator
-//!    reassociation) and the transcendental kernels (inlined polynomial
-//!    `log2`/`exp` instead of libm).
-//! 2. The optimized `solve_warm` path is bit-identical to the frozen
-//!    pre-kernel reference implementation when the scalar kernels are
-//!    active, and within 1e-9 of it otherwise.
-//! 3. `BatchDinkelbach` reproduces sequential `solve_warm` results
-//!    bitwise over a full production-shaped rate table, independent of
-//!    lane count or retirement order.
+//! The optimized `solve_warm` path (no-alloc ascent workspace, hoisted
+//! `log2 p(y)` tables, value-only backtracking trials) must be
+//! bit-identical to the frozen pre-kernel reference implementation,
+//! `RmaxSolver::solve_warm_reference`, across randomized channels, both
+//! cold and warm-started.
 //!
 //! The random inputs use an inline splitmix64 so the suite needs no RNG
 //! dependency and every run sees the same channels.
 
 use untangle_info::channel::{Channel, ChannelConfig, DelayDist};
-use untangle_info::kernels::{self, KernelMode};
-use untangle_info::rate_table::RateTableConfig;
-use untangle_info::{BatchDinkelbach, DinkelbachOptions, RmaxSolver, WarmStart};
+use untangle_info::{DinkelbachOptions, RmaxSolver, WarmStart};
 
 /// Deterministic splitmix64 stream.
 struct SplitMix(u64);
@@ -34,18 +24,9 @@ impl SplitMix {
         z ^ (z >> 31)
     }
 
-    /// Uniform f64 in `(0, 1]` (never zero, so weights stay positive).
-    fn unit(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64
-    }
-
     fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next_u64() % (hi - lo + 1)
     }
-}
-
-fn random_weights(rng: &mut SplitMix, len: usize) -> Vec<f64> {
-    (0..len).map(|_| rng.unit()).collect()
 }
 
 fn random_channel(rng: &mut SplitMix) -> Channel {
@@ -75,95 +56,6 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 #[test]
-fn elementwise_kernels_are_bit_identical_across_variants() {
-    let mut rng = SplitMix(0x1);
-    for trial in 0..200 {
-        let len = rng.range(1, 33) as usize;
-        let xs = random_weights(&mut rng, len);
-        let ys = random_weights(&mut rng, len);
-
-        // max-folds: same fold, no reassociation.
-        assert_eq!(
-            kernels::scalar::max_value(&xs).to_bits(),
-            kernels::lanes::max_value(&xs).to_bits(),
-            "max_value trial {trial}"
-        );
-
-        // axpy: per-element FMA-free multiply-add in both variants.
-        let px = rng.unit();
-        let mut out_s = ys.clone();
-        let mut out_l = ys.clone();
-        kernels::scalar::axpy(&mut out_s, px, &xs);
-        kernels::lanes::axpy(&mut out_l, px, &xs);
-        assert_bits_eq(&out_s, &out_l, "axpy");
-
-        // softmax: exp/divide element-wise; the shared max is exact.
-        let mut logits_s: Vec<f64> = xs.iter().map(|x| x * 8.0 - 4.0).collect();
-        let mut logits_l = logits_s.clone();
-        kernels::scalar::softmax_inplace(&mut logits_s);
-        kernels::lanes::softmax_inplace(&mut logits_l);
-        // The normalizing sum reassociates, so softmax outputs are in the
-        // 1e-12 tier rather than bitwise.
-        for (a, b) in logits_s.iter().zip(&logits_l) {
-            assert!((a - b).abs() <= 1e-12, "softmax trial {trial}: {a} vs {b}");
-        }
-
-        // The lane log2 table runs on the inlined polynomial, so it sits
-        // in the 1e-12 tier rather than bitwise; the scalar table stays
-        // the exact libm values (enforced against `f64::log2` directly).
-        let norm: f64 = xs.iter().sum();
-        let probs: Vec<f64> = xs.iter().map(|x| x / norm).collect();
-        let mut logs_s = Vec::new();
-        let mut logs_l = Vec::new();
-        let h_s = kernels::scalar::entropy_and_logs(&probs, &mut logs_s);
-        let h_l = kernels::lanes::entropy_and_logs(&probs, &mut logs_l);
-        let libm_logs: Vec<f64> = probs.iter().map(|&p| p.log2()).collect();
-        assert_bits_eq(&logs_s, &libm_logs, "scalar entropy log table");
-        for (i, (a, b)) in logs_s.iter().zip(&logs_l).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-12,
-                "entropy log table trial {trial} element {i}: {a} vs {b}"
-            );
-        }
-        assert!((h_s - h_l).abs() <= 1e-12, "entropy trial {trial}");
-    }
-}
-
-#[test]
-fn summation_kernels_agree_to_1e12() {
-    let mut rng = SplitMix(0x2);
-    for trial in 0..200 {
-        let len = rng.range(1, 65) as usize;
-        let xs = random_weights(&mut rng, len);
-        let ys = random_weights(&mut rng, len);
-        let sum_s = kernels::scalar::sum(&xs);
-        let sum_l = kernels::lanes::sum(&xs);
-        assert!(
-            (sum_s - sum_l).abs() <= 1e-12 * (1.0 + sum_s.abs()),
-            "sum trial {trial}: {sum_s} vs {sum_l}"
-        );
-        let dot_s = kernels::scalar::dot(&xs, &ys);
-        let dot_l = kernels::lanes::dot(&xs, &ys);
-        assert!(
-            (dot_s - dot_l).abs() <= 1e-12 * (1.0 + dot_s.abs()),
-            "dot trial {trial}: {dot_s} vs {dot_l}"
-        );
-        let (ip_s, max_s) = kernels::scalar::dot_and_max(&xs, &ys);
-        let (ip_l, max_l) = kernels::lanes::dot_and_max(&xs, &ys);
-        assert!((ip_s - ip_l).abs() <= 1e-12 * (1.0 + ip_s.abs()));
-        assert_eq!(max_s.to_bits(), max_l.to_bits(), "dot_and_max max fold");
-
-        let mut dst_s = vec![0.0; len];
-        let mut dst_l = vec![0.0; len];
-        kernels::scalar::normalize_into(&mut dst_s, &xs);
-        kernels::lanes::normalize_into(&mut dst_l, &xs);
-        for (a, b) in dst_s.iter().zip(&dst_l) {
-            assert!((a - b).abs() <= 1e-12, "normalize trial {trial}");
-        }
-    }
-}
-
-#[test]
 fn optimized_solver_matches_frozen_reference_on_random_channels() {
     let mut rng = SplitMix(0x3);
     let opts = DinkelbachOptions::default();
@@ -175,44 +67,28 @@ fn optimized_solver_matches_frozen_reference_on_random_channels() {
         let reference = RmaxSolver::with_options(channel, opts.clone())
             .solve_warm_reference(None)
             .unwrap();
-        match kernels::active_mode() {
-            KernelMode::Scalar => {
-                // The scalar kernels replicate the historical arithmetic
-                // exactly, so the whole solve is bit-for-bit reproducible.
-                assert_eq!(
-                    optimized.rate.to_bits(),
-                    reference.rate.to_bits(),
-                    "trial {trial}: scalar rate must be bit-identical"
-                );
-                assert_eq!(
-                    optimized.upper_bound.to_bits(),
-                    reference.upper_bound.to_bits(),
-                    "trial {trial}: scalar upper bound must be bit-identical"
-                );
-                assert_bits_eq(
-                    optimized.input.as_slice(),
-                    reference.input.as_slice(),
-                    "optimal input",
-                );
-                assert_eq!(optimized.status, reference.status, "trial {trial}");
-                assert_eq!(
-                    optimized.diagnostics.inner_iterations, reference.diagnostics.inner_iterations,
-                    "trial {trial}: iteration trajectory must match exactly"
-                );
-            }
-            KernelMode::Lanes => {
-                assert!(
-                    (optimized.rate - reference.rate).abs() <= 1e-9,
-                    "trial {trial}: lanes rate {} vs reference {}",
-                    optimized.rate,
-                    reference.rate
-                );
-                assert!(
-                    (optimized.upper_bound - reference.upper_bound).abs() <= 1e-9,
-                    "trial {trial}"
-                );
-            }
-        }
+        // The kernels replicate the historical arithmetic exactly, so the
+        // whole solve is bit-for-bit reproducible.
+        assert_eq!(
+            optimized.rate.to_bits(),
+            reference.rate.to_bits(),
+            "trial {trial}: rate must be bit-identical"
+        );
+        assert_eq!(
+            optimized.upper_bound.to_bits(),
+            reference.upper_bound.to_bits(),
+            "trial {trial}: upper bound must be bit-identical"
+        );
+        assert_bits_eq(
+            optimized.input.as_slice(),
+            reference.input.as_slice(),
+            "optimal input",
+        );
+        assert_eq!(optimized.status, reference.status, "trial {trial}");
+        assert_eq!(
+            optimized.diagnostics.inner_iterations, reference.diagnostics.inner_iterations,
+            "trial {trial}: iteration trajectory must match exactly"
+        );
     }
 }
 
@@ -232,114 +108,15 @@ fn warm_started_solver_matches_frozen_reference() {
         let reference = RmaxSolver::with_options(channel, opts.clone())
             .solve_warm_reference(Some(&warm))
             .unwrap();
-        match kernels::active_mode() {
-            KernelMode::Scalar => {
-                assert_eq!(
-                    optimized.rate.to_bits(),
-                    reference.rate.to_bits(),
-                    "trial {trial}"
-                );
-                assert_eq!(
-                    optimized.upper_bound.to_bits(),
-                    reference.upper_bound.to_bits(),
-                    "trial {trial}"
-                );
-            }
-            KernelMode::Lanes => {
-                assert!(
-                    (optimized.rate - reference.rate).abs() <= 1e-9,
-                    "trial {trial}"
-                );
-            }
-        }
-    }
-}
-
-/// A production-shaped table spec: 17 entries like the hardware table
-/// `SchemeParams::rate_table_spec` builds, with the same solver
-/// tolerances (smaller alphabet so the suite stays fast in debug).
-fn production_like_spec() -> (RateTableConfig, DinkelbachOptions) {
-    let config = RateTableConfig {
-        cooldown: 4,
-        n_symbols: 6,
-        step: 2,
-        delay: DelayDist::uniform(4).unwrap(),
-        max_maintains: 16,
-    };
-    let options = DinkelbachOptions {
-        tolerance: 1e-7,
-        max_inner_iterations: 800,
-        inner_gap_tolerance: 1e-9,
-        upper_bound_margin: 1e-4,
-        ..DinkelbachOptions::default()
-    };
-    (config, options)
-}
-
-#[test]
-fn batch_matches_sequential_over_all_17_table_entries() {
-    let (config, options) = production_like_spec();
-    let entries = config.max_maintains + 1;
-    assert_eq!(entries, 17);
-
-    // Entry 0's optimum seeds all lanes — the same fan-out the batched
-    // precompute performs.
-    let seed_channel = Channel::new(config.entry_channel_config(0).unwrap()).unwrap();
-    let seed = RmaxSolver::with_options(seed_channel, options.clone())
-        .solve()
-        .unwrap();
-    let warm = WarmStart::from_result(&seed);
-
-    let mut batch = BatchDinkelbach::new(options.clone());
-    for m in 1..entries {
-        let channel = Channel::new(config.entry_channel_config(m).unwrap()).unwrap();
-        batch.push(channel, Some(warm.clone()));
-    }
-    let report = batch.solve().unwrap();
-    assert_eq!(report.results.len(), entries - 1);
-    assert_eq!(report.retired_at.len(), entries - 1);
-    assert!(report.mean_occupancy > 0.0 && report.mean_occupancy <= 1.0);
-
-    // Sequential ground truth: identical channels, options, warm starts.
-    for m in 1..entries {
-        let channel = Channel::new(config.entry_channel_config(m).unwrap()).unwrap();
-        let sequential = RmaxSolver::with_options(channel, options.clone())
-            .solve_warm(Some(&warm))
-            .unwrap();
-        let batched = &report.results[m - 1];
         assert_eq!(
-            batched.rate.to_bits(),
-            sequential.rate.to_bits(),
-            "entry {m}: batched rate must be bit-identical to sequential"
+            optimized.rate.to_bits(),
+            reference.rate.to_bits(),
+            "trial {trial}"
         );
         assert_eq!(
-            batched.upper_bound.to_bits(),
-            sequential.upper_bound.to_bits(),
-            "entry {m}"
-        );
-        assert_bits_eq(
-            batched.input.as_slice(),
-            sequential.input.as_slice(),
-            "optimal input",
-        );
-        assert_eq!(batched.status, sequential.status, "entry {m}");
-        assert_eq!(
-            batched.diagnostics.inner_iterations, sequential.diagnostics.inner_iterations,
-            "entry {m}: lockstep must not change the iteration trajectory"
+            optimized.upper_bound.to_bits(),
+            reference.upper_bound.to_bits(),
+            "trial {trial}"
         );
     }
-}
-
-#[test]
-fn dispatched_kernels_match_the_active_variant() {
-    // Whatever mode is active (scalar build, simd build, or simd build
-    // with UNTANGLE_SIMD=0), the public dispatched entry points must
-    // produce the active variant's exact results.
-    let mut rng = SplitMix(0x5);
-    let xs = random_weights(&mut rng, 23);
-    let expected = match kernels::active_mode() {
-        KernelMode::Scalar => kernels::scalar::sum(&xs),
-        KernelMode::Lanes => kernels::lanes::sum(&xs),
-    };
-    assert_eq!(kernels::sum(&xs).to_bits(), expected.to_bits());
 }

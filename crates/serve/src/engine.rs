@@ -4,7 +4,8 @@
 //!
 //! # Sharding contract
 //!
-//! A domain is assigned to shard `fnv1a(domain) % shards` for its whole
+//! A domain is assigned to shard `fnv1a(domain) % shards` (FNV-1a over
+//! the id's little-endian bytes, [`untangle_durable::fnv1a`]) for its whole
 //! lifetime, and each [`Shard`] exclusively owns the mutable state of
 //! its domains — there is no cross-shard mutable data, so the `parallel`
 //! fan-out (one `std::thread` per shard) needs no locks. Because every
@@ -126,8 +127,8 @@ type Line = (u64, u32, String);
 pub struct ServeEngine {
     config: ServeConfig,
     /// Precomputed `R_max` accounting models keyed by Maintain credit,
-    /// resolved lazily (one batched Dinkelbach sweep per new credit
-    /// set) and shared read-only by every shard.
+    /// resolved lazily (one rate table per new credit) and shared
+    /// read-only by every shard.
     models: HashMap<usize, AccountingMode>,
     shards: Vec<Shard>,
     /// Global ingest index: position of the next event across all
@@ -163,7 +164,7 @@ impl ServeEngine {
 
     /// The shard a domain is (and will always be) assigned to.
     pub fn shard_of(&self, domain: u64) -> usize {
-        (fnv1a(domain) % self.shards.len() as u64) as usize
+        (untangle_durable::fnv1a(&domain.to_le_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Number of currently admitted domains across all shards.
@@ -364,7 +365,7 @@ impl ServeEngine {
         for event in events {
             let idx = self.ingested;
             self.ingested += 1;
-            let shard = (fnv1a(event.domain()) % queues.len() as u64) as usize;
+            let shard = self.shard_of(event.domain());
             queues[shard].push((idx, event.clone()));
         }
         for (k, queue) in queues.iter().enumerate() {
@@ -419,8 +420,9 @@ impl ServeEngine {
     }
 
     /// Ensures an accounting model exists for every credit in
-    /// `credits`, solving all missing rate tables in one batched
-    /// Dinkelbach sweep through the process-wide cache. Snapshot
+    /// `credits`, solving the missing rate tables through the
+    /// process-wide cache (a smaller credit's table is answered from
+    /// the leading entries of a larger one). Snapshot
     /// restore calls this with the credits of the restored domains;
     /// ingest calls it with the credits of a batch's admits.
     fn resolve_credits(&mut self, mut missing: Vec<usize>) -> Result<(), UntangleError> {
@@ -739,17 +741,6 @@ fn merge_audit(into: &mut AuditLog, from: AuditLog) {
     }
     merge(&mut into.declassified, from.declassified);
     merge(&mut into.violations, from.violations);
-}
-
-/// FNV-1a over the domain id's little-endian bytes: the deterministic,
-/// platform-independent shard assignment hash.
-fn fnv1a(domain: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in domain.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! the cross-shard determinism guarantee leans on.
 
 use untangle_core::UntangleError;
+use untangle_info::rate_table::RateTableConfig;
 use untangle_obs::json::Json;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::umon::HitCurve;
@@ -138,6 +139,24 @@ fn require_domain(j: &Json, kind: &str) -> Result<u64, UntangleError> {
     field_u64(j, "domain", kind)?.ok_or_else(|| bad(kind, "missing \"domain\""))
 }
 
+/// An admit's optional Maintain credit, at most
+/// [`RateTableConfig::MAX_MAINTAINS`]: the engine precomputes
+/// `credit + 1` rate-table entries before it writes any output, so an
+/// unbounded credit would stall or crash the daemon — and, journaled
+/// ahead of apply, every restart after it.
+fn admit_credit(j: &Json) -> Result<Option<usize>, UntangleError> {
+    match field_u64(j, "credit", "admit")? {
+        Some(c) if c > RateTableConfig::MAX_MAINTAINS as u64 => Err(bad(
+            "admit",
+            &format!(
+                "field \"credit\" must be at most {}",
+                RateTableConfig::MAX_MAINTAINS
+            ),
+        )),
+        credit => Ok(credit.map(|c| c as usize)),
+    }
+}
+
 impl Event {
     /// The domain the event addresses — the shard-routing key.
     pub fn domain(&self) -> u64 {
@@ -175,7 +194,7 @@ impl Event {
                     scheme,
                     quota_mb: field_u64(&j, "quota_mb", "admit")?.unwrap_or(16),
                     budget_bits: j.get("budget_bits").and_then(Json::as_f64),
-                    credit: field_u64(&j, "credit", "admit")?.map(|c| c as usize),
+                    credit: admit_credit(&j)?,
                 }))
             }
             "telemetry" => {
@@ -365,6 +384,23 @@ mod tests {
                     Err(UntangleError::InvalidConfig(_))
                 ),
                 "should reject: {line}"
+            );
+        }
+    }
+
+    #[test]
+    fn admit_credit_is_bounded() {
+        let admit = |credit: &str| {
+            Event::parse_line(&format!(r#"{{"ev":"admit","domain":1,"credit":{credit}}}"#))
+        };
+        let Event::Admit(a) = admit("64").unwrap() else {
+            panic!("admit")
+        };
+        assert_eq!(a.credit, Some(RateTableConfig::MAX_MAINTAINS));
+        for credit in ["65", &i64::MAX.to_string()] {
+            assert!(
+                matches!(admit(credit), Err(UntangleError::InvalidConfig(_))),
+                "should reject credit {credit}"
             );
         }
     }

@@ -26,10 +26,10 @@
 //!   fan-out (one `std::thread` per shard under the `parallel` feature)
 //!   shares no mutable hot state. Read-only state — the scheme
 //!   parameters and the precomputed `R_max` accounting models, resolved
-//!   through the process-wide `RmaxCache` with batched multi-table
-//!   Dinkelbach solves — is shared by reference. Output lines carry
-//!   their ingest index and are merged deterministically, so the
-//!   emitted stream is byte-identical for any shard count.
+//!   through the process-wide `RmaxCache` — is shared by reference.
+//!   Output lines carry their ingest index and are merged
+//!   deterministically, so the emitted stream is byte-identical for any
+//!   shard count.
 //! * [`synth`] — deterministic synthetic event streams for tests and
 //!   benchmarks, plus the batch-equivalence harness that exports a
 //!   `Runner` run's telemetry tap and replays it through the service.

@@ -73,7 +73,7 @@ pub fn synth_events(params: &SchemeParams, synth: &SynthConfig) -> Vec<Event> {
             _ => ServeScheme::Time,
         };
         // Two distinct Maintain credits in one stream exercise the
-        // engine's batched multi-table accounting resolution.
+        // engine's multi-table accounting resolution.
         let credit = if (d / schemes) % 2 == 0 {
             params.max_maintain_credit
         } else {
