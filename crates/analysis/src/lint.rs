@@ -270,13 +270,6 @@ pub enum TokKind {
     Punct(char),
 }
 
-impl TokKind {
-    /// Whether this token is any flavour of string literal.
-    pub fn is_str(&self) -> bool {
-        matches!(self, TokKind::Str(_))
-    }
-}
-
 /// One source token with its 1-based position.
 #[derive(Debug, Clone)]
 pub struct Token {

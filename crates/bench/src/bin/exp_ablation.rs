@@ -81,7 +81,7 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01);
+    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
 
     // --- Ablations 1 & 2: which combinations keep actions secret-free?
     println!("== Action-sequence secret-independence (Figure 1a pattern) ==");

@@ -25,9 +25,9 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01);
-    let n_mixes: usize = parse_flag(&args, "--mixes", 4);
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
+    let n_mixes: usize = parse_flag(&args, "--mixes", 4)?;
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
     std::fs::create_dir_all(&out_dir)?;
 
     obs::diag!("# §9 active-attacker study at scale {scale} (first {n_mixes} mixes)");
@@ -41,7 +41,7 @@ fn run() -> Result<(), UntangleError> {
     for id in 1..=n_mixes.clamp(1, 16) {
         let mix = mix_by_id(id)
             .ok_or_else(|| UntangleError::InvalidConfig(format!("mix {id} is not defined")))?;
-        let row = active_attacker_study(&mix, scale);
+        let row = active_attacker_study(&mix, scale)?;
         table.row(vec![
             format!("Mix {}", row.mix_id),
             f2(row.optimized_benign),

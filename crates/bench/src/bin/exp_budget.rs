@@ -27,8 +27,8 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.005);
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let scale: f64 = parse_flag(&args, "--scale", 0.005)?;
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
     std::fs::create_dir_all(&out_dir)?;
 
     obs::diag!(
@@ -45,7 +45,7 @@ fn run() -> Result<(), UntangleError> {
         Some(128.0),
         None,
     ];
-    let rows = budget_sweep(&mix, scale, &budgets, 7);
+    let rows = budget_sweep(&mix, scale, &budgets, 7)?;
     let mut table = TextTable::new(vec![
         "leakage budget (bits)",
         "TIME speedup",

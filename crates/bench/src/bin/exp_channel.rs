@@ -28,7 +28,7 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
     std::fs::create_dir_all(&out_dir)?;
 
     // §5.3.1 strategy example.

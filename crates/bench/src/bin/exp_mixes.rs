@@ -8,26 +8,29 @@
 //! [--scale 0.01] [--mix N] [--out results] [--resume] [--retries N]`
 //! (omit `--mix` for all 16).
 //!
-//! The mixes fan out across threads (`parallel` feature,
-//! `UNTANGLE_THREADS` to override the count) behind per-item panic
-//! isolation: a crashing mix is retried up to `--retries` times and, if
-//! it never succeeds, recorded in the run report while every other mix
-//! completes. Each finished mix is checkpointed under
-//! `<out>/checkpoints/`; `--resume` skips mixes whose checkpoint matches
-//! the current scale and seed, making a resumed run byte-identical to an
-//! uninterrupted one. Output and the `results/mixNN.csv` files are
-//! bit-identical to a sequential run. Also appends its wall clock and
-//! `R_max` cache statistics to `BENCH_experiments.json`.
+//! The mixes fan out across threads (`UNTANGLE_THREADS` to override the
+//! count) behind per-item panic isolation: a crashing mix is retried up
+//! to `--retries` times and, if it never succeeds, recorded in the run
+//! report while every other mix completes. Each finished mix is
+//! checkpointed under `<out>/checkpoints/`; `--resume` skips mixes whose
+//! checkpoint matches the current scale and seed, making a resumed run
+//! byte-identical to an uninterrupted one. Output and the
+//! `results/mixNN.csv` files are bit-identical to a sequential run. Also
+//! appends its wall clock and `R_max` cache statistics to
+//! `BENCH_experiments.json`. Exits 1, after writing what did complete,
+//! when any mix errors or fails every attempt; an invalid `--scale`
+//! exits 1 before anything is written.
 
 use untangle_analysis::certify::{certify_scheme, CertifyConfig};
 use untangle_bench::checkpoint::{CheckpointStore, MixSummary};
-use untangle_bench::experiments::run_all_mixes_resumable;
+use untangle_bench::experiments::run_mix_sweep;
 use untangle_bench::harness::timed;
 use untangle_bench::parallel::{self, RetryPolicy};
 use untangle_bench::plot::BarChart;
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::table::{f2, f3, TextTable};
 use untangle_bench::{has_flag, parse_flag};
+use untangle_core::runner::RunnerConfig;
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
 use untangle_info::RmaxCache;
@@ -150,11 +153,14 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01);
-    let only_mix: usize = parse_flag(&args, "--mix", 0);
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
+    let only_mix: usize = parse_flag(&args, "--mix", 0)?;
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
     let resume = has_flag(&args, "--resume");
-    let retries: usize = parse_flag(&args, "--retries", 1);
+    let retries: usize = parse_flag(&args, "--retries", 1)?;
+    // Every run validates the scale again; checking it here rejects a
+    // bad one before any checkpoint, CSV or report section is written.
+    RunnerConfig::eval_scale(SchemeKind::Static, scale)?;
     std::fs::create_dir_all(&out_dir)?;
 
     let selected = if only_mix > 0 {
@@ -183,7 +189,7 @@ fn run() -> Result<(), UntangleError> {
         if resume { ", resuming" } else { "" }
     );
     let (outcome, wall) = timed(|| {
-        run_all_mixes_resumable(
+        run_mix_sweep(
             &selected,
             scale,
             RetryPolicy::new(retries),
@@ -192,7 +198,7 @@ fn run() -> Result<(), UntangleError> {
         )
     });
     let mut maintain_total = (0.0, 0);
-    for summary in outcome.summaries.iter().flatten() {
+    for summary in outcome.results.iter().flatten() {
         print_mix(summary, &out_dir)?;
         maintain_total.0 += summary.maintain_fraction();
         maintain_total.1 += 1;
@@ -214,15 +220,16 @@ fn run() -> Result<(), UntangleError> {
             }
         );
     }
-    if !outcome.is_complete() {
-        obs::diag!(
-            "warning: {} mix(es) failed every attempt and are missing above",
-            outcome.summaries.iter().filter(|s| s.is_none()).count()
-        );
+    for (item, e) in &outcome.errors {
+        obs::diag!("mix item {item} failed: {e}");
+    }
+    let missing = outcome.results.iter().filter(|s| s.is_none()).count();
+    if missing > 0 {
+        obs::diag!("warning: {missing} mix(es) failed and are missing above");
     }
     obs::diag!(
         "evaluated {} mixes ({} resumed from checkpoints) in {:.2} s on {} thread(s)",
-        outcome.summaries.iter().flatten().count(),
+        outcome.results.iter().flatten().count(),
         outcome.resumed,
         wall.as_secs_f64(),
         parallel::thread_count()
@@ -284,7 +291,7 @@ fn run() -> Result<(), UntangleError> {
     let cache = RmaxCache::global().stats();
     let section = Json::obj(vec![
         ("scale", Json::Num(scale)),
-        ("mixes", Json::Int(outcome.summaries.len() as i64)),
+        ("mixes", Json::Int(outcome.results.len() as i64)),
         ("resumed", Json::Int(outcome.resumed as i64)),
         (
             "worker_failures",
@@ -329,6 +336,12 @@ fn run() -> Result<(), UntangleError> {
         report_path.display()
     );
     obs::emit_summary();
+    if missing > 0 {
+        return Err(UntangleError::InvalidConfig(format!(
+            "{missing} of {} mixes failed; see diagnostics above",
+            outcome.results.len()
+        )));
+    }
     Ok(())
 }
 

@@ -25,9 +25,9 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.004);
-    let runs: usize = parse_flag(&args, "--runs", 6);
-    let budget: f64 = parse_flag(&args, "--budget", 25.0);
+    let scale: f64 = parse_flag(&args, "--scale", 0.004)?;
+    let runs: usize = parse_flag(&args, "--runs", 6)?;
+    let budget: f64 = parse_flag(&args, "--budget", 25.0)?;
 
     obs::diag!("# §6.2 replay study: {runs} runs against a {budget}-bit lifetime budget");
     let mut carried = 0.0;

@@ -17,10 +17,11 @@
 
 use std::path::Path;
 
+use untangle_bench::checkpoint::{CheckpointStore, SweepOutcome};
 use untangle_bench::parallel::RetryPolicy;
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::scenarios::{
-    run_scenario_sweep, summarize, ScenarioStore, SweepOutcome, SweepSettings, SweepSummary,
+    run_scenario_sweep, summarize, ScenarioResult, SweepSettings, SweepSummary,
 };
 use untangle_bench::table::{f3, TextTable};
 use untangle_bench::{has_flag, parse_flag};
@@ -41,12 +42,12 @@ fn settings_from(args: &[String]) -> Result<SweepSettings, UntangleError> {
         SweepSettings::full()
     };
     let settings = SweepSettings {
-        count: parse_flag(args, "--count", base.count),
-        trace_instrs: parse_flag(args, "--trace-instrs", base.trace_instrs),
-        block_instrs: parse_flag(args, "--block", base.block_instrs),
-        interval_instrs: parse_flag(args, "--interval", base.interval_instrs),
-        max_slices: parse_flag(args, "--slices", base.max_slices),
-        validate_every: parse_flag(args, "--validate-every", base.validate_every),
+        count: parse_flag(args, "--count", base.count)?,
+        trace_instrs: parse_flag(args, "--trace-instrs", base.trace_instrs)?,
+        block_instrs: parse_flag(args, "--block", base.block_instrs)?,
+        interval_instrs: parse_flag(args, "--interval", base.interval_instrs)?,
+        max_slices: parse_flag(args, "--slices", base.max_slices)?,
+        validate_every: parse_flag(args, "--validate-every", base.validate_every)?,
     };
     if settings.count == 0
         || settings.trace_instrs == 0
@@ -72,7 +73,7 @@ fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-fn print_summary(summary: &SweepSummary, outcome: &SweepOutcome) {
+fn print_summary(summary: &SweepSummary, outcome: &SweepOutcome<ScenarioResult>) {
     println!(
         "\nScenario sweep: {}/{} scenarios complete ({} resumed from checkpoints)",
         summary.completed, summary.scenarios, outcome.resumed
@@ -171,9 +172,9 @@ fn section_json(summary: &SweepSummary, settings: &SweepSettings, resumed: usize
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let settings = settings_from(&args)?;
-    let out: String = parse_flag(&args, "--out", "target/exp_scenarios".to_string());
+    let out: String = parse_flag(&args, "--out", "target/exp_scenarios".to_string())?;
     let resume = has_flag(&args, "--resume");
-    let retries: usize = parse_flag(&args, "--retries", 2);
+    let retries: usize = parse_flag(&args, "--retries", 2)?;
 
     obs::diag!(
         "sweeping {} scenarios of {} instrs (interval {}, <= {} slices, validate every {})",
@@ -185,7 +186,7 @@ fn run() -> Result<(), UntangleError> {
     );
 
     let out_dir = Path::new(&out);
-    let store = ScenarioStore::new(out_dir.join("checkpoints"))?;
+    let store = CheckpointStore::new(out_dir.join("checkpoints"))?;
     let outcome = run_scenario_sweep(
         out_dir,
         &settings,

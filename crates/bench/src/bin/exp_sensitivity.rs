@@ -24,14 +24,14 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.002);
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let scale: f64 = parse_flag(&args, "--scale", 0.002)?;
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
 
     obs::diag!(
         "# Figure 11 sensitivity study at scale {scale} (36 benchmarks x 9 sizes, {} thread(s))",
         parallel::thread_count()
     );
-    let rows = sensitivity_study(spec_benchmarks(), scale);
+    let rows = sensitivity_study(spec_benchmarks(), scale)?;
 
     let mut header: Vec<String> = vec!["benchmark".into()];
     header.extend(PartitionSize::ALL.iter().map(|s| s.to_string()));

@@ -24,8 +24,8 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.005);
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let scale: f64 = parse_flag(&args, "--scale", 0.005)?;
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
     std::fs::create_dir_all(&out_dir)?;
 
     obs::diag!(
@@ -35,7 +35,7 @@ fn run() -> Result<(), UntangleError> {
     let mix = mix_by_id(1)
         .ok_or_else(|| UntangleError::InvalidConfig("mix 1 is not defined".to_string()))?;
     // Larger factor = shorter interval = more responsive but leakier.
-    let rows = cooldown_sweep(&mix, scale, &[4, 2, 1], 7);
+    let rows = cooldown_sweep(&mix, scale, &[4, 2, 1], 7)?;
     let mut table = TextTable::new(vec![
         "interval (instrs)",
         "T_c (cycles)",

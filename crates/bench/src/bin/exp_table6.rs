@@ -6,14 +6,17 @@
 //! Usage: `cargo run --release -p untangle-bench --bin exp_table6
 //! [--scale 0.01] [--out results]`
 //!
-//! The (mix, scheme) grid fans out across threads; repeated `R_max`
-//! solves deduplicate through the global cache. Also measures the
-//! warm-started vs cold rate-table precompute and appends everything to
-//! `BENCH_experiments.json`.
+//! The mixes run through the same sweep as `exp_mixes` (without
+//! checkpoints) and fan out across threads; repeated `R_max` solves
+//! deduplicate through the global cache. Also measures the warm-started
+//! vs cold rate-table precompute and appends everything to
+//! `BENCH_experiments.json`. Exits 1, after writing what did complete,
+//! when a mix errors or panics; an invalid `--scale` exits 1 before
+//! anything is written.
 
-use untangle_bench::experiments::{leakage_summary, run_all_mixes};
+use untangle_bench::experiments::{leakage_summary, run_mix_sweep};
 use untangle_bench::harness::timed;
-use untangle_bench::parallel;
+use untangle_bench::parallel::{self, RetryPolicy};
 use untangle_bench::parse_flag;
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::table::{f2, TextTable};
@@ -34,8 +37,10 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01);
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string());
+    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
+    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
+    // Also rejects a bad scale before anything is written.
+    let params = RunnerConfig::eval_scale(SchemeKind::Untangle, scale)?.params;
     std::fs::create_dir_all(&out_dir)?;
 
     obs::diag!(
@@ -48,8 +53,22 @@ fn run() -> Result<(), UntangleError> {
                 .ok_or_else(|| UntangleError::InvalidConfig(format!("mix {id} is not defined")))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let (evals, wall) = timed(|| run_all_mixes(&selected, scale));
-    let rows = leakage_summary(&evals);
+    let (outcome, wall) =
+        timed(|| run_mix_sweep(&selected, scale, RetryPolicy::default(), None, false));
+    for failure in &outcome.failures {
+        obs::diag!(
+            "worker fault: mix item {} attempt {} panicked ({})",
+            failure.item,
+            failure.attempt,
+            failure.message
+        );
+    }
+    for (item, e) in &outcome.errors {
+        obs::diag!("mix item {item} failed: {e}");
+    }
+    let missing = outcome.results.iter().filter(|s| s.is_none()).count();
+    let summaries: Vec<_> = outcome.results.into_iter().flatten().collect();
+    let rows = leakage_summary(&summaries);
 
     let mut table = TextTable::new(vec![
         "Mix",
@@ -88,7 +107,6 @@ fn run() -> Result<(), UntangleError> {
     // Warm-started vs cold rate-table precompute on the production table.
     // The warm side is `precompute_cached` on a fresh cache; the cold
     // side solves every entry from the uniform start.
-    let params = RunnerConfig::eval_scale(SchemeKind::Untangle, scale)?.params;
     let (table_config, options) = params.rate_table_spec(4)?;
     let (warm_table, warm_stats) =
         RateTable::precompute_cached(&table_config, &options, &RmaxCache::new())?;
@@ -153,5 +171,11 @@ fn run() -> Result<(), UntangleError> {
     let report_path = std::path::Path::new("BENCH_experiments.json");
     update_section(report_path, "exp_table6", &section)?;
     obs::diag!("updated {} (exp_table6 section)", report_path.display());
+    if missing > 0 {
+        return Err(UntangleError::InvalidConfig(format!(
+            "{missing} of {} mixes failed; see diagnostics above",
+            selected.len()
+        )));
+    }
     Ok(())
 }

@@ -39,10 +39,10 @@ fn main() {
 
 fn run() -> Result<(), UntangleError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let domains: u64 = parse_flag(&args, "--domains", 1200);
-    let rounds: u64 = parse_flag(&args, "--rounds", 10);
-    let burst: usize = parse_flag(&args, "--burst", 1024);
-    let out = parse_flag(&args, "--out", "BENCH_serve.json".to_string());
+    let domains: u64 = parse_flag(&args, "--domains", 1200)?;
+    let rounds: u64 = parse_flag(&args, "--rounds", 10)?;
+    let burst: usize = parse_flag(&args, "--burst", 1024)?;
+    let out = parse_flag(&args, "--out", "BENCH_serve.json".to_string())?;
 
     let config = ServeConfig::test_scale();
     let synth = SynthConfig {

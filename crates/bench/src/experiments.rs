@@ -8,18 +8,19 @@
 //! bit-identical to the sequential path at any thread count; see
 //! DESIGN.md's "Parallel experiment engine" section for the contract.
 //! Repeated `R_max` solves are deduplicated through the process-wide
-//! [`RmaxCache`].
+//! [`RmaxCache`]. A driver returns the first [`UntangleError`] its runs
+//! raise (an out-of-range scale, say) instead of panicking.
 
-use crate::checkpoint::{sweep_fingerprint, CheckpointStore, MixSummary};
-use crate::parallel::{par_map, par_map_indexed, par_map_isolated, ItemFailure, RetryPolicy};
+use crate::checkpoint::{run_sweep, sweep_fingerprint, CheckpointStore, MixSummary, SweepOutcome};
+use crate::parallel::{par_map, par_map_indexed, RetryPolicy};
 use untangle_core::runner::{DomainReport, RunReport, Runner, RunnerConfig};
 use untangle_core::scheme::SchemeKind;
+use untangle_core::UntangleError;
 use untangle_info::{Channel, DelayDist, DinkelbachOptions, RmaxCache};
 use untangle_info::{ChannelConfig, Dist};
 use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::stats::{geometric_mean, stable_sum};
-use untangle_trace::TraceSource;
 use untangle_workloads::mix::Mix;
 use untangle_workloads::spec::SpecBenchmark;
 
@@ -46,14 +47,20 @@ impl SensitivityRow {
 
 /// Runs one benchmark alone under one fixed partition size and returns
 /// its IPC.
-pub fn ipc_at_size(bench: &SpecBenchmark, size: PartitionSize, scale: f64) -> f64 {
-    let mut config = RunnerConfig::eval_scale(SchemeKind::Static, scale).expect("eval scale");
+///
+/// # Errors
+///
+/// [`UntangleError::InvalidConfig`] when `scale` is out of range.
+pub fn ipc_at_size(
+    bench: &SpecBenchmark,
+    size: PartitionSize,
+    scale: f64,
+) -> Result<f64, UntangleError> {
+    let mut config = RunnerConfig::eval_scale(SchemeKind::Static, scale)?;
     config.initial_partition = size;
     let source = bench.model(untangle_trace::LineAddr::new(1 << 28));
-    let report = Runner::new(config, vec![Box::new(source)])
-        .expect("runner")
-        .run();
-    report.domains[0].ipc()
+    let report = Runner::new(config, vec![Box::new(source)])?.run();
+    Ok(report.domains[0].ipc())
 }
 
 /// The Fig. 11 study for a set of benchmarks: each benchmark alone,
@@ -62,12 +69,21 @@ pub fn ipc_at_size(bench: &SpecBenchmark, size: PartitionSize, scale: f64) -> f6
 /// The benchmark × size grid is flattened into one task list so short
 /// benchmarks cannot leave workers idle while a long one finishes its
 /// nine sizes.
-pub fn sensitivity_study(benchmarks: &[SpecBenchmark], scale: f64) -> Vec<SensitivityRow> {
+///
+/// # Errors
+///
+/// As [`ipc_at_size`].
+pub fn sensitivity_study(
+    benchmarks: &[SpecBenchmark],
+    scale: f64,
+) -> Result<Vec<SensitivityRow>, UntangleError> {
     let sizes = PartitionSize::COUNT;
-    let ipcs: Vec<f64> = par_map_indexed(benchmarks.len() * sizes, |i| {
+    let ipcs = par_map_indexed(benchmarks.len() * sizes, |i| {
         ipc_at_size(&benchmarks[i / sizes], PartitionSize::ALL[i % sizes], scale)
-    });
-    benchmarks
+    })
+    .into_iter()
+    .collect::<Result<Vec<f64>, _>>()?;
+    Ok(benchmarks
         .iter()
         .zip(ipcs.chunks(sizes))
         .map(|(b, ipcs)| {
@@ -90,109 +106,7 @@ pub fn sensitivity_study(benchmarks: &[SpecBenchmark], scale: f64) -> Vec<Sensit
                 adequate,
             }
         })
-        .collect()
-}
-
-/// The evaluation of one mix under one scheme.
-#[derive(Debug, Clone)]
-pub struct SchemeRun {
-    /// The scheme.
-    pub kind: SchemeKind,
-    /// The full run report.
-    pub report: RunReport,
-}
-
-/// The evaluation of one mix under all four schemes (one Fig. 10 group).
-#[derive(Debug, Clone)]
-pub struct MixEvaluation {
-    /// Mix id (1-based).
-    pub mix_id: usize,
-    /// Per-workload chart labels.
-    pub labels: Vec<String>,
-    /// Whether each workload's SPEC part is LLC-sensitive.
-    pub sensitive: Vec<bool>,
-    /// Total LLC demand in MB (figure captions).
-    pub total_demand_mb: f64,
-    /// Runs in [`SchemeKind::ALL`] order: Static, Time, Untangle, Shared.
-    pub runs: Vec<SchemeRun>,
-}
-
-impl MixEvaluation {
-    /// The run for one scheme.
-    pub fn run(&self, kind: SchemeKind) -> &RunReport {
-        &self
-            .runs
-            .iter()
-            .find(|r| r.kind == kind)
-            .expect("all four schemes evaluated")
-            .report
-    }
-
-    /// Per-workload IPC of `kind` normalized to Static (the Fig. 10
-    /// bottom rows).
-    pub fn normalized_ipc(&self, kind: SchemeKind) -> Vec<f64> {
-        let base = self.run(SchemeKind::Static);
-        self.run(kind)
-            .domains
-            .iter()
-            .zip(&base.domains)
-            .map(|(d, b)| {
-                let base_ipc = b.ipc();
-                if base_ipc > 0.0 {
-                    d.ipc() / base_ipc
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// System-wide speedup of `kind` over Static (geometric mean of
-    /// per-workload normalized IPCs, §9).
-    pub fn speedup(&self, kind: SchemeKind) -> f64 {
-        geometric_mean(&self.normalized_ipc(kind))
-    }
-
-    /// Per-workload leakage in bits per assessment for a dynamic scheme.
-    pub fn leakage_per_assessment(&self, kind: SchemeKind) -> Vec<f64> {
-        self.run(kind)
-            .domains
-            .iter()
-            .map(|d| d.leakage.bits_per_assessment())
-            .collect()
-    }
-
-    /// Average per-workload total leakage in bits (Table 6 columns).
-    pub fn avg_total_leakage(&self, kind: SchemeKind) -> f64 {
-        let domains = &self.run(kind).domains;
-        let bits: Vec<f64> = domains.iter().map(|d| d.leakage.total_bits).collect();
-        stable_sum(&bits) / domains.len() as f64
-    }
-
-    /// Average per-assessment leakage across workloads (Table 6).
-    pub fn avg_leakage_per_assessment(&self, kind: SchemeKind) -> f64 {
-        let per = self.leakage_per_assessment(kind);
-        stable_sum(&per) / per.len() as f64
-    }
-
-    /// Fraction of all Untangle assessments in the mix that chose
-    /// Maintain (§9 reports ~90 %).
-    pub fn maintain_fraction(&self) -> f64 {
-        let domains = &self.run(SchemeKind::Untangle).domains;
-        let (maintains, total) = domains.iter().fold((0u64, 0u64), |(m, t), d| {
-            (m + d.leakage.maintains, t + d.leakage.assessments)
-        });
-        if total == 0 {
-            0.0
-        } else {
-            maintains as f64 / total as f64
-        }
-    }
-}
-
-/// Builds the runner config for one (mix, scheme) evaluation.
-pub fn mix_runner_config(kind: SchemeKind, scale: f64) -> RunnerConfig {
-    RunnerConfig::eval_scale(kind, scale).expect("eval scale")
+        .collect())
 }
 
 /// The base every mix evaluation XORs its id into to seed its RNGs.
@@ -200,182 +114,52 @@ pub fn mix_runner_config(kind: SchemeKind, scale: f64) -> RunnerConfig {
 pub const MIX_SEED_BASE: u64 = 0xfeed;
 
 /// Runs `mix` under one scheme.
-pub fn run_mix_under(mix: &Mix, kind: SchemeKind, scale: f64) -> RunReport {
-    let config = mix_runner_config(kind, scale);
-    Runner::new(config, mix.sources(MIX_SEED_BASE ^ mix.id as u64, scale))
-        .expect("runner")
-        .run()
-}
-
-/// Runs `mix` under all four schemes (one Fig. 10 group), fanning the
-/// schemes out across threads.
-pub fn evaluate_mix(mix: &Mix, scale: f64) -> MixEvaluation {
-    let runs = par_map(&SchemeKind::ALL, |&kind| SchemeRun {
-        kind,
-        report: run_mix_under(mix, kind, scale),
-    });
-    group_mix(mix, runs)
-}
-
-/// Assembles a [`MixEvaluation`] from per-scheme runs.
-fn group_mix(mix: &Mix, runs: Vec<SchemeRun>) -> MixEvaluation {
-    MixEvaluation {
-        mix_id: mix.id,
-        labels: mix.labels(),
-        sensitive: mix
-            .workloads
-            .iter()
-            .map(|w| w.spec.llc_sensitive())
-            .collect(),
-        total_demand_mb: mix.total_demand_mb(),
-        runs,
-    }
-}
-
-/// Evaluates every mix in `mixes` under all four schemes, fanning out
-/// over the flattened (mix, scheme) grid — 64 independent tasks for the
-/// full 16-mix evaluation, the best load-balancing granularity.
 ///
-/// Each task seeds its own RNGs from `(mix.id, scheme)` alone, so the
-/// result is bit-identical to calling [`evaluate_mix`] in a sequential
-/// loop.
-pub fn run_all_mixes(mixes: &[Mix], scale: f64) -> Vec<MixEvaluation> {
-    let kinds = SchemeKind::ALL;
-    let runs: Vec<SchemeRun> = par_map_indexed(mixes.len() * kinds.len(), |i| {
-        let kind = kinds[i % kinds.len()];
-        SchemeRun {
-            kind,
-            report: run_mix_under(&mixes[i / kinds.len()], kind, scale),
-        }
-    });
-    mixes
-        .iter()
-        .zip(runs.chunks(kinds.len()))
-        .map(|(mix, chunk)| group_mix(mix, chunk.to_vec()))
-        .collect()
-}
-
-/// The outcome of a fault-tolerant, resumable mix sweep.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Per-mix summaries in input order; `None` where the item panicked
-    /// on every attempt (see `failures`).
-    pub summaries: Vec<Option<MixSummary>>,
-    /// How many items were restored from checkpoints instead of
-    /// recomputed.
-    pub resumed: usize,
-    /// Every panicked attempt, recovered or not, in deterministic
-    /// `(item, attempt)` order.
-    pub failures: Vec<ItemFailure>,
-}
-
-impl SweepOutcome {
-    /// Whether every mix produced a summary.
-    pub fn is_complete(&self) -> bool {
-        self.summaries.iter().all(Option::is_some)
-    }
-}
-
-/// [`run_all_mixes`] hardened for long sweeps: per-item panic isolation
-/// with bounded retries, and checkpoint/resume through `store`.
+/// # Errors
 ///
-/// The unit of work is one mix (its four schemes run in sequence inside
-/// the item), and an item's checkpoint is written **by the worker the
-/// moment the item completes** — killing the process therefore loses at
-/// most the items in flight, at most one per worker. With `resume` set,
-/// items whose checkpoint fingerprint (mix id, scale, seed base, scheme
-/// list, format version) matches are loaded instead of recomputed;
-/// because the JSON layer roundtrips floats bit-for-bit, a resumed
-/// sweep's output is byte-identical to an uninterrupted one. A
-/// checkpoint file that is present but damaged (torn, bit-flipped,
-/// trailing garbage) is detected by the durable slot's checksum header,
-/// reported as a diagnostic plus the `engine.checkpoint_corrupt`
-/// counter, and recomputed fresh — corruption can degrade resume, never
-/// results.
+/// [`UntangleError::InvalidConfig`] when `scale` is out of range.
+pub fn run_mix_under(mix: &Mix, kind: SchemeKind, scale: f64) -> Result<RunReport, UntangleError> {
+    let config = RunnerConfig::eval_scale(kind, scale)?;
+    Ok(Runner::new(config, mix.sources(MIX_SEED_BASE ^ mix.id as u64, scale))?.run())
+}
+
+/// The mix sweep behind Figs. 10, 12–17 and Table 6: every mix in
+/// `mixes` under all four schemes, one work item per mix (its four
+/// schemes run in sequence inside the item), through [`run_sweep`] —
+/// per-item panic isolation with bounded retries, and checkpoint/resume
+/// through `store`.
 ///
-/// A failed checkpoint write is reported to stderr and does not fail
-/// the item — only its resumability is lost. A panicking item is
-/// retried up to `retry.max_attempts` times; every attempt re-derives
-/// its seeds from `(MIX_SEED_BASE, mix.id)` alone, so retried results
-/// cannot diverge from clean ones.
-pub fn run_all_mixes_resumable(
+/// An item's checkpoint fingerprint covers the mix id, scale, seed
+/// base, solver options, scheme list and format version. Every attempt
+/// re-derives its seeds from `(MIX_SEED_BASE, mix.id)` alone, so
+/// retried and resumed results cannot diverge from clean ones, and the
+/// results are bit-identical at any thread count.
+pub fn run_mix_sweep(
     mixes: &[Mix],
     scale: f64,
     retry: RetryPolicy,
-    store: Option<&CheckpointStore>,
+    store: Option<&CheckpointStore<MixSummary>>,
     resume: bool,
-) -> SweepOutcome {
+) -> SweepOutcome<MixSummary> {
     let options = DinkelbachOptions::default();
-    let fingerprints: Vec<String> = mixes
+    let keys: Vec<(usize, String)> = mixes
         .iter()
-        .map(|m| sweep_fingerprint(m.id, scale, MIX_SEED_BASE, &options))
+        .map(|m| {
+            (
+                m.id,
+                sweep_fingerprint(m.id, scale, MIX_SEED_BASE, &options),
+            )
+        })
         .collect();
-
-    let mut summaries: Vec<Option<MixSummary>> = vec![None; mixes.len()];
-    let mut resumed = 0;
-    if resume {
-        if let Some(store) = store {
-            for (i, mix) in mixes.iter().enumerate() {
-                match store.load(mix.id, &fingerprints[i]) {
-                    Ok(Some(summary)) => {
-                        summaries[i] = Some(summary);
-                        resumed += 1;
-                        obs::counter_add("engine.checkpoint_hits", 1);
-                    }
-                    // Missing or written under different settings:
-                    // recompute, nothing to report.
-                    Ok(None) => {}
-                    // Present but damaged (torn tail, bit-rot, trailing
-                    // garbage): detected, diagnosed, recomputed fresh.
-                    Err(e) => {
-                        obs::counter_add("engine.checkpoint_corrupt", 1);
-                        obs::diag!("warning: {e}; recomputing mix {} fresh", mix.id);
-                    }
-                }
-            }
-        }
-    }
-
-    let pending: Vec<usize> = (0..mixes.len())
-        .filter(|&i| summaries[i].is_none())
-        .collect();
-    let run = par_map_isolated(pending.len(), retry, |j| {
-        let i = pending[j];
+    run_sweep(&keys, store, resume, retry, |i| {
         let mix = &mixes[i];
         let _span = obs::span(&format!("mix/{:02}", mix.id));
-        let runs: Vec<SchemeRun> = SchemeKind::ALL
+        let runs = SchemeKind::ALL
             .iter()
-            .map(|&kind| SchemeRun {
-                kind,
-                report: run_mix_under(mix, kind, scale),
-            })
-            .collect();
-        let summary = MixSummary::from_evaluation(&group_mix(mix, runs));
-        if let Some(store) = store {
-            match store.save(&summary, &fingerprints[i]) {
-                Ok(()) => obs::counter_add("engine.checkpoint_writes", 1),
-                Err(e) => {
-                    obs::diag!("warning: {e} (mix {} will not be resumable)", mix.id);
-                }
-            }
-        }
-        summary
-    });
-
-    let mut failures = run.failures;
-    for (j, result) in run.results.into_iter().enumerate() {
-        summaries[pending[j]] = result;
-    }
-    // Failure records carry pending-list positions; map them back to
-    // mix-list positions so reports name the right item.
-    for failure in &mut failures {
-        failure.item = pending[failure.item];
-    }
-    SweepOutcome {
-        summaries,
-        resumed,
-        failures,
-    }
+            .map(|&kind| run_mix_under(mix, kind, scale))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(MixSummary::from_runs(mix, &runs))
+    })
 }
 
 /// One row of Table 6.
@@ -403,8 +187,8 @@ impl LeakageSummaryRow {
 }
 
 /// Table 6 from already-evaluated mixes.
-pub fn leakage_summary(evaluations: &[MixEvaluation]) -> Vec<LeakageSummaryRow> {
-    evaluations
+pub fn leakage_summary(summaries: &[MixSummary]) -> Vec<LeakageSummaryRow> {
+    summaries
         .iter()
         .map(|e| LeakageSummaryRow {
             mix_id: e.mix_id,
@@ -432,14 +216,16 @@ pub struct ActiveAttackerRow {
 /// Runs the §9 active-attacker comparison for one mix: Untangle with
 /// the optimized accounting (benign) versus the unoptimized, squeezed
 /// worst case.
-pub fn active_attacker_study(mix: &Mix, scale: f64) -> ActiveAttackerRow {
-    let benign = run_mix_under(mix, SchemeKind::Untangle, scale);
-    let mut config = mix_runner_config(SchemeKind::Untangle, scale);
+///
+/// # Errors
+///
+/// [`UntangleError::InvalidConfig`] when `scale` is out of range.
+pub fn active_attacker_study(mix: &Mix, scale: f64) -> Result<ActiveAttackerRow, UntangleError> {
+    let benign = run_mix_under(mix, SchemeKind::Untangle, scale)?;
+    let mut config = RunnerConfig::eval_scale(SchemeKind::Untangle, scale)?;
     config.params.optimized_accounting = false;
     config.squeeze = true;
-    let attacked = Runner::new(config, mix.sources(MIX_SEED_BASE ^ mix.id as u64, scale))
-        .expect("runner")
-        .run();
+    let attacked = Runner::new(config, mix.sources(MIX_SEED_BASE ^ mix.id as u64, scale))?.run();
     let avg = |r: &RunReport| {
         let per: Vec<f64> = r
             .domains
@@ -448,11 +234,11 @@ pub fn active_attacker_study(mix: &Mix, scale: f64) -> ActiveAttackerRow {
             .collect();
         stable_sum(&per) / r.domains.len() as f64
     };
-    ActiveAttackerRow {
+    Ok(ActiveAttackerRow {
         mix_id: mix.id,
         optimized_benign: avg(&benign),
         worst_case: avg(&attacked),
-    }
+    })
 }
 
 /// One point of the §5.3 channel study.
@@ -531,15 +317,14 @@ pub fn strategy_example() -> (f64, f64) {
 
 /// Per-workload Static IPCs for `mix`, the baseline both sweeps
 /// normalize against.
-fn static_baseline(mix: &Mix, scale: f64, seed: u64) -> Vec<f64> {
-    let config = RunnerConfig::eval_scale(SchemeKind::Static, scale).expect("eval scale");
-    Runner::new(config, mix.sources(seed, scale))
-        .expect("runner")
+fn static_baseline(mix: &Mix, scale: f64, seed: u64) -> Result<Vec<f64>, UntangleError> {
+    let config = RunnerConfig::eval_scale(SchemeKind::Static, scale)?;
+    Ok(Runner::new(config, mix.sources(seed, scale))?
         .run()
         .domains
         .iter()
         .map(|d| d.ipc())
-        .collect()
+        .collect())
 }
 
 /// Geometric-mean speedup of `report` over per-workload baseline IPCs.
@@ -572,45 +357,57 @@ pub struct CooldownSweepRow {
 /// longer the cooldown, the lower the leakage rate and the slower the
 /// reaction. `factors` divide the scaled 8 M-instruction base interval.
 /// Sweep settings run in parallel against a shared Static baseline.
-pub fn cooldown_sweep(mix: &Mix, scale: f64, factors: &[u64], seed: u64) -> Vec<CooldownSweepRow> {
-    let static_ipcs = static_baseline(mix, scale, seed);
+///
+/// # Errors
+///
+/// [`UntangleError::InvalidConfig`] when `scale` is out of range.
+pub fn cooldown_sweep(
+    mix: &Mix,
+    scale: f64,
+    factors: &[u64],
+    seed: u64,
+) -> Result<Vec<CooldownSweepRow>, UntangleError> {
+    let static_ipcs = static_baseline(mix, scale, seed)?;
     let base_interval = (8_000_000.0 * scale) as u64;
-    par_map(factors, |&factor| {
-        let interval = base_interval / factor;
-        let mut config = RunnerConfig::eval_scale(SchemeKind::Untangle, scale).expect("eval scale");
-        config.params.progress_interval_instrs = interval;
-        config.params.delay_max_cycles = interval / 8; // δ ~ U[0, T_c)
-        let report = Runner::new(config, mix.sources(seed, scale))
-            .expect("runner")
-            .run();
-        let n = report.domains.len() as f64;
-        CooldownSweepRow {
-            interval,
-            speedup: speedup_over(&report, &static_ipcs),
-            avg_bits_per_assessment: {
-                let per: Vec<f64> = report
+    par_map(
+        factors,
+        |&factor| -> Result<CooldownSweepRow, UntangleError> {
+            let interval = base_interval / factor;
+            let mut config = RunnerConfig::eval_scale(SchemeKind::Untangle, scale)?;
+            config.params.progress_interval_instrs = interval;
+            config.params.delay_max_cycles = interval / 8; // δ ~ U[0, T_c)
+            let report = Runner::new(config, mix.sources(seed, scale))?.run();
+            let n = report.domains.len() as f64;
+            Ok(CooldownSweepRow {
+                interval,
+                speedup: speedup_over(&report, &static_ipcs),
+                avg_bits_per_assessment: {
+                    let per: Vec<f64> = report
+                        .domains
+                        .iter()
+                        .map(|d| d.leakage.bits_per_assessment())
+                        .collect();
+                    stable_sum(&per) / n
+                },
+                avg_total_bits: {
+                    let bits: Vec<f64> = report
+                        .domains
+                        .iter()
+                        .map(|d| d.leakage.total_bits)
+                        .collect();
+                    stable_sum(&bits) / n
+                },
+                avg_assessments: report
                     .domains
                     .iter()
-                    .map(|d| d.leakage.bits_per_assessment())
-                    .collect();
-                stable_sum(&per) / n
-            },
-            avg_total_bits: {
-                let bits: Vec<f64> = report
-                    .domains
-                    .iter()
-                    .map(|d| d.leakage.total_bits)
-                    .collect();
-                stable_sum(&bits) / n
-            },
-            avg_assessments: report
-                .domains
-                .iter()
-                .map(|d| d.leakage.assessments)
-                .sum::<u64>() as f64
-                / n,
-        }
-    })
+                    .map(|d| d.leakage.assessments)
+                    .sum::<u64>() as f64
+                    / n,
+            })
+        },
+    )
+    .into_iter()
+    .collect()
 }
 
 /// One row of the §3.3 budget trade-off sweep (`exp_budget`).
@@ -627,24 +424,30 @@ pub struct BudgetSweepRow {
 /// For each budget, runs `mix` under Time and Untangle and reports the
 /// speedup over Static (§3.3: loose accounting exhausts the budget and
 /// freezes resizing). The budget × scheme grid runs in parallel.
+///
+/// # Errors
+///
+/// [`UntangleError::InvalidConfig`] when `scale` is out of range.
 pub fn budget_sweep(
     mix: &Mix,
     scale: f64,
     budgets: &[Option<f64>],
     seed: u64,
-) -> Vec<BudgetSweepRow> {
-    let static_ipcs = static_baseline(mix, scale, seed);
+) -> Result<Vec<BudgetSweepRow>, UntangleError> {
+    let static_ipcs = static_baseline(mix, scale, seed)?;
     let kinds = [SchemeKind::Time, SchemeKind::Untangle];
-    let speedups: Vec<f64> = par_map_indexed(budgets.len() * kinds.len(), |i| {
-        let mut config =
-            RunnerConfig::eval_scale(kinds[i % kinds.len()], scale).expect("eval scale");
-        config.params.leakage_budget_bits = budgets[i / kinds.len()];
-        let report = Runner::new(config, mix.sources(seed, scale))
-            .expect("runner")
-            .run();
-        speedup_over(&report, &static_ipcs)
-    });
-    budgets
+    let speedups = par_map_indexed(
+        budgets.len() * kinds.len(),
+        |i| -> Result<f64, UntangleError> {
+            let mut config = RunnerConfig::eval_scale(kinds[i % kinds.len()], scale)?;
+            config.params.leakage_budget_bits = budgets[i / kinds.len()];
+            let report = Runner::new(config, mix.sources(seed, scale))?.run();
+            Ok(speedup_over(&report, &static_ipcs))
+        },
+    )
+    .into_iter()
+    .collect::<Result<Vec<f64>, _>>()?;
+    Ok(budgets
         .iter()
         .zip(speedups.chunks(kinds.len()))
         .map(|(&budget_bits, pair)| BudgetSweepRow {
@@ -652,15 +455,7 @@ pub fn budget_sweep(
             time_speedup: pair[0],
             untangle_speedup: pair[1],
         })
-        .collect()
-}
-
-/// Runs a boxed workload under a scheme at test scale (used by
-/// integration tests and the quickstart example).
-pub fn quick_run(kind: SchemeKind, source: Box<dyn TraceSource>) -> RunReport {
-    Runner::new(RunnerConfig::test_scale(kind, 1), vec![source])
-        .expect("runner")
-        .run()
+        .collect())
 }
 
 #[cfg(test)]
@@ -699,7 +494,8 @@ mod tests {
                 *spec_by_name("mcf_0").unwrap(),
             ],
             0.002,
-        );
+        )
+        .unwrap();
         let povray = &rows[0];
         let mcf = &rows[1];
         assert!(!povray.llc_sensitive(), "adequate {}", povray.adequate);
@@ -710,16 +506,35 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_mix_produces_all_schemes() {
+    fn mix_sweep_produces_all_schemes() {
         let mix = mix_by_id(1).unwrap();
-        let eval = evaluate_mix(&mix, 0.001);
-        assert_eq!(eval.runs.len(), 4);
-        assert_eq!(eval.labels.len(), 8);
-        let time = eval.avg_leakage_per_assessment(SchemeKind::Time);
+        let outcome = run_mix_sweep(&[mix], 0.001, RetryPolicy::default(), None, false);
+        let summary = outcome.results[0].clone().expect("mix 1 completes");
+        assert_eq!(summary.schemes.len(), 4);
+        assert_eq!(summary.labels.len(), 8);
+        let time = summary.avg_leakage_per_assessment(SchemeKind::Time);
         assert!((time - 9f64.log2()).abs() < 1e-9);
-        let untangle = eval.avg_leakage_per_assessment(SchemeKind::Untangle);
+        let untangle = summary.avg_leakage_per_assessment(SchemeKind::Untangle);
         assert!(untangle < time, "untangle {untangle} !< time {time}");
-        let rows = leakage_summary(&[eval]);
+        let rows = leakage_summary(&[summary]);
         assert!(rows[0].per_assessment_reduction() > 0.0);
+    }
+
+    #[test]
+    fn drivers_reject_an_out_of_range_scale() {
+        let mix = mix_by_id(1).unwrap();
+        let povray = *spec_by_name("povray_0").unwrap();
+        assert!(sensitivity_study(&[povray], 0.0).is_err());
+        assert!(active_attacker_study(&mix, 0.0).is_err());
+        assert!(cooldown_sweep(&mix, 0.0, &[1], 7).is_err());
+        assert!(budget_sweep(&mix, f64::NAN, &[None], 7).is_err());
+        let outcome = run_mix_sweep(&[mix], 2.0, RetryPolicy::default(), None, false);
+        assert!(outcome.results[0].is_none() && outcome.failures.is_empty());
+        assert_eq!(outcome.errors.len(), 1, "{:?}", outcome.errors);
+        assert!(
+            outcome.errors[0].1.contains("scale"),
+            "{:?}",
+            outcome.errors
+        );
     }
 }

@@ -1,69 +1,7 @@
-//! A dependency-free micro-benchmark timer.
-//!
-//! The container this repo builds in has no registry access, so the
-//! `benches/` targets cannot use an external harness. This module is the
-//! small in-repo replacement: warm up, run a fixed number of timed
-//! iterations, report min / mean / max. It favours predictability over
-//! statistical sophistication — the numbers land in
-//! `BENCH_experiments.json` and are compared across PRs, so a stable
-//! protocol matters more than confidence intervals.
+//! Wall-clock timing for the experiment binaries: they report each
+//! run's duration to stderr and `BENCH_experiments.json`.
 
 use std::time::{Duration, Instant};
-
-/// Timing summary of one benchmarked closure.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// What was measured.
-    pub label: String,
-    /// Timed iterations (after warm-up).
-    pub iterations: u32,
-    /// Fastest iteration.
-    pub min: Duration,
-    /// Mean iteration time.
-    pub mean: Duration,
-    /// Slowest iteration.
-    pub max: Duration,
-}
-
-impl BenchResult {
-    /// One-line human-readable rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<40} {:>10.3?} min {:>10.3?} mean {:>10.3?} max  ({} iters)",
-            self.label, self.min, self.mean, self.max, self.iterations
-        )
-    }
-}
-
-/// Times `f` for `iterations` runs after `warmup` untimed runs.
-///
-/// # Panics
-///
-/// Panics if `iterations` is zero.
-pub fn bench<F: FnMut()>(label: &str, warmup: u32, iterations: u32, mut f: F) -> BenchResult {
-    assert!(iterations > 0, "need at least one timed iteration");
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut max = Duration::ZERO;
-    let mut total = Duration::ZERO;
-    for _ in 0..iterations {
-        let start = Instant::now();
-        f();
-        let elapsed = start.elapsed();
-        min = min.min(elapsed);
-        max = max.max(elapsed);
-        total += elapsed;
-    }
-    BenchResult {
-        label: label.to_string(),
-        iterations,
-        min,
-        mean: total / iterations,
-        max,
-    }
-}
 
 /// Times one run of `f` and returns its result alongside the wall clock.
 pub fn timed<R, F: FnOnce() -> R>(f: F) -> (R, Duration) {
@@ -77,24 +15,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_counts_iterations() {
-        let mut calls = 0u32;
-        let r = bench("noop", 2, 5, || calls += 1);
-        assert_eq!(calls, 7);
-        assert_eq!(r.iterations, 5);
-        assert!(r.min <= r.mean && r.mean <= r.max);
-    }
-
-    #[test]
     fn timed_returns_value() {
         let (v, d) = timed(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one timed iteration")]
-    fn bench_rejects_zero_iterations() {
-        bench("bad", 0, 0, || {});
     }
 }

@@ -15,12 +15,11 @@
 //!   output, any thread count.
 //!
 //! The implementation uses only `std::thread::scope`; there is no
-//! dependency to vendor and nothing to download. With the `parallel`
-//! cargo feature disabled (`--no-default-features`) every entry point
-//! runs the plain sequential loop.
+//! dependency to vendor and nothing to download.
 //!
-//! Thread count: `UNTANGLE_THREADS` if set (a value of `1` forces the
-//! sequential path), otherwise [`std::thread::available_parallelism`].
+//! Thread count: `UNTANGLE_THREADS` if set (a value of `1` runs the
+//! plain sequential loop in the caller's thread), otherwise
+//! [`std::thread::available_parallelism`].
 //!
 //! # Panic isolation
 //!
@@ -60,34 +59,25 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// fail to parse are **rejected with a diagnostic** (via
 /// [`untangle_obs::env::positive_count`], the same parser the serve
 /// daemon uses for `UNTANGLE_SHARDS`) rather than silently clamped or
-/// ignored, and the fallback chain applies. Always 1 when the
-/// `parallel` feature is disabled.
+/// ignored, and the fallback chain applies.
 pub fn thread_count() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        obs::env::positive_count("UNTANGLE_THREADS").unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    }
+    obs::env::positive_count("UNTANGLE_THREADS").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
-/// Whether the parallel fan-out is compiled in and would use more than
-/// one thread right now.
+/// Whether the fan-out would use more than one thread right now.
 pub fn is_parallel() -> bool {
-    cfg!(feature = "parallel") && thread_count() > 1
+    thread_count() > 1
 }
 
 /// Maps `f` over `0..n`, returning results in index order.
 ///
-/// Runs on [`thread_count`] worker threads when the `parallel` feature is
-/// enabled and both `n` and the thread count exceed 1; otherwise runs the
-/// plain sequential loop. Output is identical either way.
+/// Runs on [`thread_count`] worker threads when both `n` and the thread
+/// count exceed 1; otherwise runs the plain sequential loop. Output is
+/// identical either way.
 ///
 /// # Panics
 ///
@@ -106,15 +96,14 @@ where
 /// The drivers always go through [`par_map_indexed`]; this entry point
 /// exists so tests can pin a worker count (e.g. compare 4 workers
 /// against 1) without touching `UNTANGLE_THREADS`, which would race
-/// across concurrently running tests. With the `parallel` feature
-/// disabled the worker count is ignored and the loop is sequential.
+/// across concurrently running tests.
 pub fn par_map_indexed_with<R, F>(workers: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let workers = workers.min(n);
-    if !cfg!(feature = "parallel") || workers <= 1 {
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
 
@@ -258,10 +247,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs item `i` under `catch_unwind`, retrying per `policy`.
 ///
-/// Shared by the threaded and sequential paths so the fault-injection
-/// hook and the retry semantics are identical under
-/// `--no-default-features`. Returns the result (if any attempt
-/// succeeded) and the failure records for every panicked attempt.
+/// Shared by the threaded and sequential paths, so the fault-injection
+/// hook and the retry semantics are identical at any worker count.
+/// Returns the result (if any attempt succeeded) and the failure records
+/// for every panicked attempt.
 fn run_isolated<R, F>(i: usize, policy: RetryPolicy, f: &F) -> (Option<R>, Vec<ItemFailure>)
 where
     F: Fn(usize) -> R + Sync,
@@ -317,9 +306,8 @@ where
 }
 
 /// [`par_map_isolated`] with an explicit worker count (see
-/// [`par_map_indexed_with`] for why tests want this). With the
-/// `parallel` feature disabled the loop is sequential but the isolation,
-/// retry, and fault-injection semantics are unchanged.
+/// [`par_map_indexed_with`] for why tests want this): the isolated
+/// item runs through the same pool as every other fan-out.
 pub fn par_map_isolated_with<R, F>(
     workers: usize,
     n: usize,
@@ -330,46 +318,15 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = workers.min(n);
-    if !cfg!(feature = "parallel") || workers <= 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut failures = Vec::new();
-        for i in 0..n {
-            let (r, mut fails) = run_isolated(i, policy, &f);
-            results.push(r);
-            failures.append(&mut fails);
-        }
-        return IsolatedRun { results, failures };
+    let mut results = Vec::with_capacity(n);
+    let mut failures = Vec::new();
+    // Per-item failure lists come back in index order, each already in
+    // attempt order, so the concatenation is sorted by (item, attempt).
+    for (r, mut fails) in par_map_indexed_with(workers, n, |i| run_isolated(i, policy, &f)) {
+        results.push(r);
+        failures.append(&mut fails);
     }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, Option<R>)>> = Mutex::new(Vec::with_capacity(n));
-    let failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (r, fails) = run_isolated(i, policy, &f);
-                if !fails.is_empty() {
-                    lock_clean(&failures).extend(fails);
-                }
-                lock_clean(&slots).push((i, r));
-            });
-        }
-    });
-
-    let mut tagged = slots.into_inner().unwrap_or_else(|p| p.into_inner());
-    tagged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), n);
-    let mut failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-    failures.sort_by_key(|f| (f.item, f.attempt));
-    IsolatedRun {
-        results: tagged.into_iter().map(|(_, r)| r).collect(),
-        failures,
-    }
+    IsolatedRun { results, failures }
 }
 
 /// The `UNTANGLE_FAULT_INJECT` hook: deterministic crash injection for
@@ -380,7 +337,7 @@ where
 /// the work closure. The budget is consumed atomically, so exactly `N`
 /// panics fire no matter how executions race across workers, and it
 /// applies on both the threaded and the sequential
-/// (`--no-default-features`) paths. Unrecognized values of the variable
+/// (`UNTANGLE_THREADS=1`) paths. Unrecognized values of the variable
 /// are ignored.
 ///
 /// Combined with a [`RetryPolicy`] of more than `N` attempts this proves

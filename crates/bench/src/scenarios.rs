@@ -26,18 +26,17 @@
 //!    sampled-vs-full IPC and leakage error
 //!    ([`untangle_sim::stats::relative_error`]).
 //!
-//! Completed scenarios checkpoint through [`ScenarioStore`] (the same
-//! durable [`Slot`] discipline as [`crate::checkpoint`]), fingerprinted
-//! over every sweep setting plus both format versions, so `--resume`
-//! can never replay a checkpoint into a differently-configured sweep.
+//! The sweep runs through the same engine as the mix sweep,
+//! [`crate::checkpoint::run_sweep`]: completed scenarios checkpoint
+//! through a [`CheckpointStore`], fingerprinted over every sweep
+//! setting plus both format versions, so `--resume` can never replay a
+//! checkpoint into a differently-configured sweep.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use untangle_core::runner::{DomainReport, Runner, RunnerConfig};
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
-use untangle_durable::slot::{Slot, SlotState};
 use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::stats::{relative_error, stable_sum, weighted_mean};
@@ -47,8 +46,10 @@ use untangle_trace::simpoint::{choose_slices, SimPointConfig, Slice};
 use untangle_trace::TraceSource;
 use untangle_workloads::scenario::{scenario_set, Scenario};
 
-use crate::checkpoint::{self, FORMAT_VERSION};
-use crate::parallel::{par_map_isolated, IsolatedRun, ItemFailure, RetryPolicy};
+use crate::checkpoint::{
+    self, run_sweep, Checkpoint, CheckpointStore, SweepOutcome, FORMAT_VERSION,
+};
+use crate::parallel::RetryPolicy;
 use crate::report::Json;
 
 /// The schemes every scenario is swept over: the paper's four plus
@@ -510,6 +511,26 @@ impl ScenarioResult {
     }
 }
 
+impl Checkpoint for ScenarioResult {
+    const PAYLOAD_KEY: &'static str = "result";
+
+    fn file_name(id: usize) -> String {
+        format!("scenario{id:03}.json")
+    }
+
+    fn id(&self) -> usize {
+        self.id as usize
+    }
+
+    fn to_payload(&self) -> Json {
+        self.to_json()
+    }
+
+    fn from_payload(json: &Json) -> Result<Self, String> {
+        ScenarioResult::from_json(json)
+    }
+}
+
 fn estimate_scheme(
     path: &Path,
     kind: SchemeKind,
@@ -671,190 +692,40 @@ pub fn scenario_fingerprint(
     format!("{:016x}", untangle_durable::fnv1a(&bytes))
 }
 
-/// Durable per-scenario checkpoints, one [`Slot`] file per scenario.
-#[derive(Debug, Clone)]
-pub struct ScenarioStore {
-    dir: PathBuf,
-}
-
-impl ScenarioStore {
-    /// Opens (creating if needed) the checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// [`UntangleError::Checkpoint`] when the directory cannot be
-    /// created.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<ScenarioStore, UntangleError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| UntangleError::Checkpoint {
-            path: dir.display().to_string(),
-            reason: format!("cannot create directory: {e}"),
-        })?;
-        Ok(ScenarioStore { dir })
-    }
-
-    /// The checkpoint path for one scenario.
-    pub fn path_for(&self, id: u32) -> PathBuf {
-        self.dir.join(format!("scenario{id:03}.json"))
-    }
-
-    /// Persists one completed scenario, tagged with its fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// [`UntangleError::Checkpoint`] on I/O failure; callers treat this
-    /// as best-effort.
-    pub fn save(&self, result: &ScenarioResult, fingerprint: &str) -> Result<(), UntangleError> {
-        let path = self.path_for(result.id);
-        let payload = Json::obj(vec![
-            ("version", Json::Int(i64::from(FORMAT_VERSION))),
-            ("fingerprint", Json::Str(fingerprint.to_string())),
-            ("result", result.to_json()),
-        ]);
-        Slot::new(&path)
-            .store((payload.render() + "\n").as_bytes())
-            .map_err(|e| UntangleError::Checkpoint {
-                path: path.display().to_string(),
-                reason: e.to_string(),
-            })
-    }
-
-    /// Loads the checkpoint for scenario `id`. `Ok(None)` means
-    /// "recompute, nothing wrong" (missing file, or written under
-    /// different settings).
-    ///
-    /// # Errors
-    ///
-    /// [`UntangleError::Checkpoint`] when the file is present but
-    /// damaged — a recoverable diagnostic, exactly like
-    /// [`crate::checkpoint::CheckpointStore::load`].
-    pub fn load(
-        &self,
-        id: u32,
-        fingerprint: &str,
-    ) -> Result<Option<ScenarioResult>, UntangleError> {
-        let path = self.path_for(id);
-        let corrupt = |reason: String| UntangleError::Checkpoint {
-            path: path.display().to_string(),
-            reason,
-        };
-        let bytes = match Slot::new(&path)
-            .load()
-            .map_err(|e| corrupt(e.to_string()))?
-        {
-            SlotState::Missing => return Ok(None),
-            SlotState::Corrupt { reason } => return Err(corrupt(reason)),
-            SlotState::Valid(bytes) => bytes,
-        };
-        let text =
-            String::from_utf8(bytes).map_err(|_| corrupt("payload is not UTF-8".to_string()))?;
-        let json = Json::parse(&text).map_err(|e| corrupt(format!("unparsable payload: {e}")))?;
-        let matches = json.get("version").and_then(Json::as_i64) == Some(i64::from(FORMAT_VERSION))
-            && json.get("fingerprint").and_then(Json::as_str) == Some(fingerprint);
-        if !matches {
-            return Ok(None);
-        }
-        let result = json
-            .get("result")
-            .ok_or_else(|| corrupt("missing field 'result'".to_string()))
-            .and_then(|r| ScenarioResult::from_json(r).map_err(corrupt))?;
-        Ok((result.id == id).then_some(result))
-    }
-}
-
-/// What the sweep produced: one slot per scenario (`None` = failed every
-/// attempt), panic isolation records, typed per-scenario errors, and the
-/// resume count.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Results in scenario order; `None` where the scenario failed.
-    pub results: Vec<Option<ScenarioResult>>,
-    /// Worker panics caught by the isolation layer.
-    pub failures: Vec<ItemFailure>,
-    /// Typed errors, as `(scenario index, message)`.
-    pub errors: Vec<(usize, String)>,
-    /// Scenarios restored from checkpoints instead of recomputed.
-    pub resumed: usize,
-}
-
-impl SweepOutcome {
-    /// Whether every scenario completed.
-    pub fn is_complete(&self) -> bool {
-        self.results.iter().all(Option::is_some)
-    }
-}
-
 /// Runs the whole sweep: generation, sampling, per-scheme estimation,
-/// and validation for all `settings.count` scenarios, fanned out with
-/// per-item panic isolation and checkpoint resume.
+/// and validation for all `settings.count` scenarios, through
+/// [`run_sweep`] — fanned out with per-item panic isolation and
+/// checkpoint resume.
 ///
-/// Trace files land in `<out>/traces/`, checkpoints in
-/// `<out>/checkpoints/`. `resume` controls whether existing checkpoints
-/// are consulted; they are always written.
+/// Trace files land in `<out>/traces/`; checkpoints go to `store`.
+/// `resume` controls whether existing checkpoints are consulted; they
+/// are always written when a store is given.
 ///
 /// # Errors
 ///
-/// [`UntangleError`] only when the output directories cannot be
-/// created; per-scenario failures are recorded in the outcome instead.
+/// [`UntangleError`] only when the trace directory cannot be created;
+/// per-scenario failures are recorded in the outcome instead.
 pub fn run_scenario_sweep(
     out_dir: &Path,
     settings: &SweepSettings,
-    store: Option<&ScenarioStore>,
+    store: Option<&CheckpointStore<ScenarioResult>>,
     resume: bool,
     policy: RetryPolicy,
-) -> Result<SweepOutcome, UntangleError> {
+) -> Result<SweepOutcome<ScenarioResult>, UntangleError> {
     let trace_dir = out_dir.join("traces");
     std::fs::create_dir_all(&trace_dir)?;
     let scenarios = scenario_set(settings.count);
-    let resumed = AtomicUsize::new(0);
-
-    let run: IsolatedRun<Result<ScenarioResult, UntangleError>> =
-        par_map_isolated(scenarios.len(), policy, |i| {
-            let scenario = &scenarios[i];
-            let validate = settings.validated(i);
-            let fingerprint = scenario_fingerprint(scenario, settings, validate);
-            if resume {
-                if let Some(store) = store {
-                    match store.load(scenario.id, &fingerprint) {
-                        Ok(Some(result)) => {
-                            resumed.fetch_add(1, Ordering::Relaxed);
-                            return Ok(result);
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            obs::counter_add("scenarios.checkpoint_corrupt", 1);
-                            obs::diag!("discarding damaged checkpoint: {e}");
-                        }
-                    }
-                }
-            }
-            let result = evaluate_scenario(&trace_dir, scenario, settings, validate)?;
-            if let Some(store) = store {
-                if let Err(e) = store.save(&result, &fingerprint) {
-                    obs::diag!("checkpoint save failed (continuing): {e}");
-                }
-            }
-            Ok(result)
-        });
-
-    let mut results = Vec::with_capacity(run.results.len());
-    let mut errors = Vec::new();
-    for (i, slot) in run.results.into_iter().enumerate() {
-        match slot {
-            Some(Ok(result)) => results.push(Some(result)),
-            Some(Err(e)) => {
-                errors.push((i, e.to_string()));
-                results.push(None);
-            }
-            None => results.push(None),
-        }
-    }
-    Ok(SweepOutcome {
-        results,
-        failures: run.failures,
-        errors,
-        resumed: resumed.into_inner(),
-    })
+    let keys: Vec<(usize, String)> = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let fingerprint = scenario_fingerprint(s, settings, settings.validated(i));
+            (s.id as usize, fingerprint)
+        })
+        .collect();
+    Ok(run_sweep(&keys, store, resume, policy, |i| {
+        evaluate_scenario(&trace_dir, &scenarios[i], settings, settings.validated(i))
+    }))
 }
 
 /// Per-scheme aggregate over the whole sweep.
@@ -1090,7 +961,7 @@ mod tests {
         let dir = temp_dir("store");
         let s = scenario(1);
         let result = evaluate_scenario(&dir, &s, &settings, false).expect("evaluate");
-        let store = ScenarioStore::new(dir.join("checkpoints")).expect("store");
+        let store = CheckpointStore::<ScenarioResult>::new(dir.join("checkpoints")).expect("store");
         let fp = scenario_fingerprint(&s, &settings, false);
         assert!(store.load(1, &fp).expect("empty").is_none());
         store.save(&result, &fp).expect("save");
@@ -1120,7 +991,7 @@ mod tests {
     fn sweep_completes_resumes_and_summarizes() {
         let settings = tiny_settings();
         let out = temp_dir("sweep");
-        let store = ScenarioStore::new(out.join("checkpoints")).expect("store");
+        let store = CheckpointStore::<ScenarioResult>::new(out.join("checkpoints")).expect("store");
         let outcome =
             run_scenario_sweep(&out, &settings, Some(&store), false, RetryPolicy::default())
                 .expect("sweep");

@@ -7,45 +7,38 @@
 //! valid even if the two env-using tests race on the variable: the whole
 //! point is that *any* thread count yields the same bits.
 
-use untangle_bench::experiments::{run_all_mixes, sensitivity_study, MixEvaluation};
+use untangle_bench::experiments::{run_mix_sweep, sensitivity_study};
+use untangle_bench::parallel::RetryPolicy;
 use untangle_info::{Channel, Dist};
 use untangle_info::{ChannelConfig, DelayDist, DinkelbachOptions, RmaxCache, RmaxSolver};
 use untangle_trace::synth::TraceRng;
-use untangle_workloads::mix::mix_by_id;
+use untangle_workloads::mix::{mix_by_id, Mix};
 use untangle_workloads::spec::spec_by_name;
 
-/// Exact bit-level fingerprint of an evaluation: every per-domain IPC,
-/// leakage counter, and partition-size sample.
-fn fingerprint(evals: &[MixEvaluation]) -> Vec<u64> {
-    let mut out = Vec::new();
-    for e in evals {
-        out.push(e.mix_id as u64);
-        out.push(e.total_demand_mb.to_bits());
-        for run in &e.runs {
-            for d in &run.report.domains {
-                out.push(d.ipc().to_bits());
-                out.push(d.leakage.total_bits.to_bits());
-                out.push(d.leakage.assessments);
-                out.push(d.leakage.visible_actions);
-                out.push(d.leakage.maintains);
-                out.extend(d.size_samples.iter().map(|s| s.bytes()));
-            }
-        }
-    }
-    out
+/// Every per-mix summary of the sweep, rendered: floats print in
+/// shortest-roundtrip form, so equal strings mean equal bits for every
+/// per-domain IPC, leakage total, assessment and Maintain count, and
+/// partition-size quartile.
+fn rendered_mix_sweep(mixes: &[Mix], scale: f64) -> Vec<String> {
+    run_mix_sweep(mixes, scale, RetryPolicy::default(), None, false)
+        .results
+        .iter()
+        .map(|s| s.as_ref().expect("mix completes").to_json().render())
+        .collect()
 }
 
 #[test]
-fn parallel_run_all_mixes_is_bit_identical_to_sequential() {
+fn parallel_mix_sweep_is_bit_identical_to_sequential() {
     let mixes: Vec<_> = [1, 2, 3].iter().map(|&i| mix_by_id(i).unwrap()).collect();
     let scale = 0.001;
 
     std::env::set_var("UNTANGLE_THREADS", "1");
-    let sequential = fingerprint(&run_all_mixes(&mixes, scale));
+    let sequential = rendered_mix_sweep(&mixes, scale);
     std::env::set_var("UNTANGLE_THREADS", "4");
-    let parallel = fingerprint(&run_all_mixes(&mixes, scale));
+    let parallel = rendered_mix_sweep(&mixes, scale);
     std::env::remove_var("UNTANGLE_THREADS");
 
+    assert_eq!(sequential.len(), mixes.len());
     assert_eq!(sequential, parallel, "fan-out must not change any bit");
 }
 
@@ -71,9 +64,9 @@ fn parallel_sensitivity_study_is_bit_identical_to_sequential() {
     };
 
     std::env::set_var("UNTANGLE_THREADS", "1");
-    let sequential = row_bits(&sensitivity_study(&benchmarks, scale));
+    let sequential = row_bits(&sensitivity_study(&benchmarks, scale).unwrap());
     std::env::set_var("UNTANGLE_THREADS", "4");
-    let parallel = row_bits(&sensitivity_study(&benchmarks, scale));
+    let parallel = row_bits(&sensitivity_study(&benchmarks, scale).unwrap());
     std::env::remove_var("UNTANGLE_THREADS");
 
     assert_eq!(sequential, parallel, "fan-out must not change any bit");

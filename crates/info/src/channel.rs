@@ -59,11 +59,6 @@ impl DelayDist {
         })
     }
 
-    /// Largest possible delay value, in time units.
-    pub fn max_delay(&self) -> u64 {
-        self.dist.len() as u64 - 1
-    }
-
     /// Entropy `H(δ)` in bits.
     pub fn entropy_bits(&self) -> f64 {
         self.dist.entropy_bits()

@@ -7,8 +7,8 @@
 //! A domain is assigned to shard `fnv1a(domain) % shards` (FNV-1a over
 //! the id's little-endian bytes, [`untangle_durable::fnv1a`]) for its whole
 //! lifetime, and each [`Shard`] exclusively owns the mutable state of
-//! its domains — there is no cross-shard mutable data, so the `parallel`
-//! fan-out (one `std::thread` per shard) needs no locks. Because every
+//! its domains — there is no cross-shard mutable data, so the fan-out
+//! (one `std::thread` per shard) needs no locks. Because every
 //! [`DomainDecider`] consults only its own domain's events, a domain's
 //! decision trace is a pure function of its event subsequence; output
 //! lines carry their global ingest index and are merged by it, so the
@@ -475,12 +475,11 @@ impl ServeEngine {
             .unwrap_or(self.config.params.max_maintain_credit)
     }
 
-    /// Drains every shard's queue, in parallel when the feature and the
-    /// shard count allow it.
+    /// Drains every shard's queue: one scoped thread per shard when there
+    /// is more than one shard, in the caller's thread otherwise.
     fn run_shards(&mut self, queues: Vec<Vec<(u64, Event)>>) -> Vec<Line> {
         let config = &self.config;
         let models = &self.models;
-        #[cfg(feature = "parallel")]
         if self.shards.len() > 1 {
             return std::thread::scope(|scope| {
                 let workers: Vec<_> = self
@@ -505,9 +504,9 @@ impl ServeEngine {
     }
 
     /// Drains one shard's queue, recording the taint audit when
-    /// configured. Runs on the shard's worker thread under `parallel`;
-    /// the audit capture is thread-local, so each shard's log contains
-    /// exactly its own domains' crossings.
+    /// configured. Runs on the shard's worker thread when there are
+    /// several shards; the audit capture is thread-local, so each
+    /// shard's log contains exactly its own domains' crossings.
     fn drain(
         config: &ServeConfig,
         models: &HashMap<usize, AccountingMode>,

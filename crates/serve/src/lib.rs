@@ -23,8 +23,7 @@
 //! * [`engine`] — [`engine::ServeEngine`], the sharded ingest engine.
 //!   Domains are assigned to shards by a deterministic FNV-1a hash;
 //!   each shard **exclusively owns** its domains' mutable state, so the
-//!   fan-out (one `std::thread` per shard under the `parallel` feature)
-//!   shares no mutable hot state. Read-only state — the scheme
+//!   fan-out (one `std::thread` per shard) shares no mutable hot state. Read-only state — the scheme
 //!   parameters and the precomputed `R_max` accounting models, resolved
 //!   through the process-wide `RmaxCache` — is shared by reference.
 //!   Output lines carry their ingest index and are merged

@@ -190,10 +190,6 @@ pub struct TimingConfig {
     /// Core frequency in Hz — converts cycles to wall-clock time for the
     /// leakage model (Table 3: 2 GHz).
     pub frequency_hz: u64,
-    /// When set, cores use the MSHR-based memory-level-parallelism
-    /// model with this many miss registers instead of the scalar
-    /// exposed-miss fraction.
-    pub mshrs: Option<usize>,
 }
 
 impl Default for TimingConfig {
@@ -205,7 +201,6 @@ impl Default for TimingConfig {
             dram_latency: 100,
             exposed_miss_fraction: 0.35,
             frequency_hz: 2_000_000_000,
-            mshrs: None,
         }
     }
 }

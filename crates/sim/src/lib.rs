@@ -18,13 +18,9 @@
 //! * [`smt`] — the §6.3 SMT generality demonstration: partitioned
 //!   functional-unit issue slots, SecSMT-style full-event counting,
 //!   and Untangle's timing-independent instruction-mix metric.
-//! * [`temporal`] — §2.1's other partitioning family: a TDM memory
-//!   controller whose slot allocation is the (resizable) partition.
 //! * [`tlb`] — the §6.3 generality demonstration: a page-granular TLB
 //!   twin of the LLC machinery (resizable TLB slices and a
 //!   timing-independent TLB utility monitor).
-//! * [`way_partition`] — the classic way-partitioning mechanism as an
-//!   alternative substrate to set partitioning.
 //! * [`timing`] — a trace-driven timing model: base CPI at the commit
 //!   width plus level-dependent miss penalties with a bounded
 //!   memory-level-parallelism overlap factor.
@@ -59,11 +55,9 @@ pub mod config;
 pub mod smt;
 pub mod stats;
 pub mod system;
-pub mod temporal;
 pub mod timing;
 pub mod tlb;
 pub mod umon;
-pub mod way_partition;
 
 pub use config::{MachineConfig, PartitionSize};
 pub use system::{LlcMode, System};

@@ -10,7 +10,7 @@
 use crate::cache::SetAssocCache;
 use crate::config::{MachineConfig, PartitionSize};
 use crate::stats::DomainStats;
-use crate::timing::{CoreTiming, ServiceLevel};
+use crate::timing::{ServiceLevel, TimingModel};
 use untangle_trace::{Instr, TraceSource};
 
 /// How the LLC is organized.
@@ -52,7 +52,7 @@ pub struct System {
     l1s: Vec<SetAssocCache>,
     llc: Llc,
     partition_sizes: Vec<PartitionSize>,
-    timing: Vec<CoreTiming>,
+    timing: Vec<TimingModel>,
     /// Per-domain statistics; `cycles` mirrors `timing` after every
     /// step and stall, so the laggard scan reads it without going
     /// through the timing model.
@@ -96,7 +96,7 @@ impl System {
             llc,
             partition_sizes: vec![initial; domains],
             timing: (0..domains)
-                .map(|_| CoreTiming::new(machine.timing))
+                .map(|_| TimingModel::new(machine.timing))
                 .collect(),
             stats: vec![DomainStats::default(); domains],
             machine,
@@ -178,11 +178,6 @@ impl System {
     /// The current partition size of `domain`.
     pub fn partition_size(&self, domain: usize) -> PartitionSize {
         self.partition_sizes[domain]
-    }
-
-    /// Sum of all partition sizes in bytes (must never exceed the LLC).
-    pub fn total_partitioned_bytes(&self) -> u64 {
-        self.partition_sizes.iter().map(|s| s.bytes()).sum()
     }
 
     /// `domain`'s statistics so far.
@@ -416,30 +411,5 @@ mod tests {
     #[should_panic(expected = "domains must be in")]
     fn rejects_too_many_domains() {
         let _ = System::new(small_machine(), 9, LlcMode::Partitioned);
-    }
-
-    #[test]
-    fn mshr_configured_system_runs_and_differs_from_scalar() {
-        use crate::config::TimingConfig;
-        let run = |mshrs: Option<usize>| {
-            let machine = MachineConfig {
-                timing: TimingConfig {
-                    mshrs,
-                    ..TimingConfig::default()
-                },
-                ..small_machine()
-            };
-            let mut sys = System::new(machine, 1, LlcMode::Partitioned);
-            let mut src = loads((0..20_000).map(|l| l * 7));
-            while sys.step(0, &mut src).is_some() {}
-            sys.stats(0).cycles
-        };
-        let scalar = run(None);
-        let mshr = run(Some(8));
-        assert!(scalar > 0.0 && mshr > 0.0);
-        assert!(
-            (scalar - mshr).abs() > 1.0,
-            "the two timing models should not coincide: {scalar} vs {mshr}"
-        );
     }
 }

@@ -11,72 +11,6 @@
 
 use crate::config::TimingConfig;
 
-/// A core's cycle accounting: either the scalar-overlap
-/// [`TimingModel`] or the [`MshrTimingModel`], selected by
-/// [`TimingConfig::mshrs`].
-#[derive(Debug, Clone)]
-pub enum CoreTiming {
-    /// Scalar exposed-miss-fraction model (the default).
-    Scalar(TimingModel),
-    /// MSHR-based memory-level-parallelism model.
-    Mshr(MshrTimingModel),
-}
-
-impl CoreTiming {
-    /// Builds the model the config selects.
-    pub fn new(config: TimingConfig) -> Self {
-        match config.mshrs {
-            Some(n) => CoreTiming::Mshr(MshrTimingModel::new(config, n)),
-            None => CoreTiming::Scalar(TimingModel::new(config)),
-        }
-    }
-
-    /// Retires a non-memory instruction.
-    pub fn retire_compute(&mut self) {
-        match self {
-            CoreTiming::Scalar(t) => t.retire_compute(),
-            CoreTiming::Mshr(t) => t.retire_compute(),
-        }
-    }
-
-    /// Retires a memory instruction served at `level`.
-    pub fn retire_mem(&mut self, level: ServiceLevel) {
-        match self {
-            CoreTiming::Scalar(t) => t.retire_mem(level),
-            CoreTiming::Mshr(t) => t.retire_mem(level),
-        }
-    }
-
-    /// Elapsed cycles.
-    pub fn cycles(&self) -> f64 {
-        match self {
-            CoreTiming::Scalar(t) => t.cycles(),
-            CoreTiming::Mshr(t) => t.cycles(),
-        }
-    }
-
-    /// Elapsed wall-clock seconds.
-    pub fn seconds(&self) -> f64 {
-        match self {
-            CoreTiming::Scalar(t) => t.seconds(),
-            CoreTiming::Mshr(t) => t.seconds(),
-        }
-    }
-
-    /// Advances the clock by raw cycles (externally imposed stall).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles` is negative.
-    pub fn advance(&mut self, cycles: f64) {
-        assert!(cycles >= 0.0, "time cannot run backwards");
-        match self {
-            CoreTiming::Scalar(t) => t.advance(cycles),
-            CoreTiming::Mshr(t) => t.advance(cycles),
-        }
-    }
-}
-
 /// Where a memory access was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceLevel {
@@ -173,101 +107,6 @@ impl TimingModel {
     }
 }
 
-/// A higher-fidelity alternative to the fixed exposed-miss fraction:
-/// models a bank of miss-status holding registers (MSHRs). Up to
-/// `mshrs` misses overlap; a new miss issued while all MSHRs are busy
-/// stalls until the oldest completes. The [`TimingModel`]'s scalar
-/// overlap factor approximates this model's average behaviour; this
-/// one exposes the bursty stalls a real out-of-order core sees.
-///
-/// Deterministic and timing-closed: the state is a fixed-size array of
-/// completion times, advanced only by retire calls.
-#[derive(Debug, Clone)]
-pub struct MshrTimingModel {
-    config: TimingConfig,
-    issue_cost: f64,
-    cycles: f64,
-    /// Completion time of the miss occupying each MSHR (0 = free).
-    mshr_free_at: Vec<f64>,
-}
-
-impl MshrTimingModel {
-    /// Creates a model with `mshrs` miss registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mshrs` is zero or the commit width is zero.
-    pub fn new(config: TimingConfig, mshrs: usize) -> Self {
-        assert!(mshrs > 0, "need at least one MSHR");
-        assert!(config.commit_width > 0, "commit width must be positive");
-        Self {
-            issue_cost: 1.0 / config.commit_width as f64,
-            cycles: 0.0,
-            mshr_free_at: vec![0.0; mshrs],
-            config,
-        }
-    }
-
-    /// The timing parameters.
-    pub fn config(&self) -> &TimingConfig {
-        &self.config
-    }
-
-    /// Retires a non-memory instruction.
-    pub fn retire_compute(&mut self) {
-        self.cycles += self.issue_cost;
-    }
-
-    /// Retires a memory instruction served at `level`.
-    pub fn retire_mem(&mut self, level: ServiceLevel) {
-        self.cycles += self.issue_cost;
-        let latency = match level {
-            ServiceLevel::L1 => return, // hidden by the pipeline
-            ServiceLevel::Llc => {
-                (self
-                    .config
-                    .llc_latency
-                    .saturating_sub(self.config.l1_latency)) as f64
-            }
-            ServiceLevel::Dram => (self.config.llc_latency + self.config.dram_latency)
-                .saturating_sub(self.config.l1_latency) as f64,
-        };
-        // Allocate the earliest-free MSHR; stall if none is free yet.
-        let (slot, free_at) = self
-            .mshr_free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-            .map(|(i, &t)| (i, t))
-            .expect("mshrs > 0");
-        if free_at > self.cycles {
-            // All MSHRs busy: the core stalls until one drains.
-            self.cycles = free_at;
-        }
-        self.mshr_free_at[slot] = self.cycles + latency;
-    }
-
-    /// Elapsed cycles.
-    pub fn cycles(&self) -> f64 {
-        self.cycles
-    }
-
-    /// Elapsed wall-clock seconds.
-    pub fn seconds(&self) -> f64 {
-        self.cycles / self.config.frequency_hz as f64
-    }
-
-    /// Advances the clock by raw cycles (externally imposed stall).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles` is negative.
-    pub fn advance(&mut self, cycles: f64) {
-        assert!(cycles >= 0.0, "time cannot run backwards");
-        self.cycles += cycles;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,71 +180,6 @@ mod tests {
     #[should_panic(expected = "time cannot run backwards")]
     fn advance_rejects_negative() {
         model().advance(-1.0);
-    }
-
-    #[test]
-    fn mshr_model_hides_sparse_misses() {
-        // With plenty of MSHRs and sparse misses, the core never stalls:
-        // cost is pure issue bandwidth.
-        let mut t = MshrTimingModel::new(TimingConfig::default(), 8);
-        for _ in 0..8 {
-            t.retire_mem(ServiceLevel::Dram);
-            for _ in 0..200 {
-                t.retire_compute();
-            }
-        }
-        // 8 misses + 1600 computes at 8-wide = 201 cycles of issue.
-        assert!((t.cycles() - 201.0).abs() < 1e-9, "got {}", t.cycles());
-    }
-
-    #[test]
-    fn mshr_model_stalls_on_miss_bursts() {
-        // A burst beyond the MSHR count serializes.
-        let burst = |mshrs: usize| {
-            let mut t = MshrTimingModel::new(TimingConfig::default(), mshrs);
-            for _ in 0..16 {
-                t.retire_mem(ServiceLevel::Dram);
-            }
-            t.cycles()
-        };
-        assert!(
-            burst(1) > burst(4),
-            "fewer MSHRs must stall more: {} !> {}",
-            burst(1),
-            burst(4)
-        );
-        assert!(burst(4) > burst(16));
-    }
-
-    #[test]
-    fn mshr_model_l1_hits_cost_issue_only() {
-        let mut t = MshrTimingModel::new(TimingConfig::default(), 2);
-        for _ in 0..80 {
-            t.retire_mem(ServiceLevel::L1);
-        }
-        assert!((t.cycles() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mshr_model_is_deterministic() {
-        let run = || {
-            let mut t = MshrTimingModel::new(TimingConfig::default(), 3);
-            for i in 0..100 {
-                match i % 3 {
-                    0 => t.retire_mem(ServiceLevel::Dram),
-                    1 => t.retire_mem(ServiceLevel::Llc),
-                    _ => t.retire_compute(),
-                }
-            }
-            t.cycles()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one MSHR")]
-    fn mshr_model_rejects_zero_mshrs() {
-        let _ = MshrTimingModel::new(TimingConfig::default(), 0);
     }
 
     #[test]
