@@ -31,6 +31,7 @@ use untangle_core::runner::{Runner, RunnerConfig};
 use untangle_core::scheme::{DomainTier, SchemeKind};
 use untangle_core::taint::audit;
 use untangle_core::UntangleError;
+use untangle_obs::json::Json;
 use untangle_trace::synth::{CryptoConfig, CryptoModel, WorkingSetConfig, WorkingSetModel};
 use untangle_trace::TraceSource;
 
@@ -118,36 +119,24 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Renders the certificate as a JSON object (workspace-local
-    /// dialect: objects, arrays, strings, finite numbers).
-    pub fn to_json(&self) -> String {
-        let sites = |records: &[SiteRecord]| {
-            let items: Vec<String> = records
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"site\": {}, \"hits\": {}}}",
-                        json_string(&r.site),
-                        r.hits
-                    )
-                })
-                .collect();
-            format!("[{}]", items.join(", "))
-        };
-        format!(
-            "{{\"scheme\": {}, \"verdict\": {}, \"classes\": {}, \
-             \"secrets_per_class\": {}, \"divergent_classes\": {}, \
-             \"max_action_bits\": {}, \"declassified_sites\": {}, \
-             \"violations\": {}}}",
-            json_string(&self.scheme),
-            json_string(self.verdict.name()),
-            self.classes,
-            self.secrets_per_class,
-            self.divergent_classes,
-            json_number(self.max_action_bits),
-            sites(&self.declassified_sites),
-            sites(&self.violations),
-        )
+    /// The certificate as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("scheme", Json::Str(self.scheme.clone())),
+            ("verdict", Json::Str(self.verdict.name().to_string())),
+            ("classes", Json::Int(self.classes as i64)),
+            (
+                "secrets_per_class",
+                Json::Int(self.secrets_per_class as i64),
+            ),
+            (
+                "divergent_classes",
+                Json::Int(self.divergent_classes as i64),
+            ),
+            ("max_action_bits", Json::Num(self.max_action_bits)),
+            ("declassified_sites", sites_json(&self.declassified_sites)),
+            ("violations", sites_json(&self.violations)),
+        ])
     }
 
     /// Builds a certificate from captured taint-audit logs alone — the
@@ -161,25 +150,12 @@ impl Certificate {
     /// are zero: this certificate asserts the audited-flow property
     /// only.
     pub fn from_audit(scheme: &str, logs: &[audit::AuditLog]) -> Certificate {
-        let mut declassified: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut violations: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut tally = SiteTally::default();
         for log in logs {
-            for s in &log.declassified {
-                *declassified.entry(s.site).or_insert(0) += s.hits;
-            }
-            for s in &log.violations {
-                *violations.entry(s.site).or_insert(0) += s.hits;
-            }
+            tally.add(log);
         }
-        let to_records = |m: BTreeMap<&'static str, u64>| {
-            m.into_iter()
-                .map(|(site, hits)| SiteRecord {
-                    site: site.to_string(),
-                    hits,
-                })
-                .collect::<Vec<_>>()
-        };
-        let verdict = if declassified.is_empty() {
+        let (declassified_sites, violations) = tally.into_records();
+        let verdict = if declassified_sites.is_empty() {
             Verdict::ActionLeakFree
         } else {
             Verdict::LeakSites
@@ -191,35 +167,58 @@ impl Certificate {
             secrets_per_class: 0,
             divergent_classes: 0,
             max_action_bits: 0.0,
-            declassified_sites: to_records(declassified),
-            violations: to_records(violations),
+            declassified_sites,
+            violations,
         }
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Per-site hit counts summed over audit logs, in site-name order.
+#[derive(Default)]
+struct SiteTally {
+    declassified: BTreeMap<&'static str, u64>,
+    violations: BTreeMap<&'static str, u64>,
 }
 
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+impl SiteTally {
+    fn add(&mut self, log: &audit::AuditLog) {
+        for s in &log.declassified {
+            *self.declassified.entry(s.site).or_insert(0) += s.hits;
+        }
+        for s in &log.violations {
+            *self.violations.entry(s.site).or_insert(0) += s.hits;
+        }
     }
+
+    /// The declassification and violation records.
+    fn into_records(self) -> (Vec<SiteRecord>, Vec<SiteRecord>) {
+        let records = |m: BTreeMap<&'static str, u64>| {
+            m.into_iter()
+                .map(|(site, hits)| SiteRecord {
+                    site: site.to_string(),
+                    hits,
+                })
+                .collect()
+        };
+        (records(self.declassified), records(self.violations))
+    }
+}
+
+/// Site records as a JSON array of `{"site":…,"hits":…}` objects — the
+/// shape of both the offline certificate's site lists and the serve
+/// daemon's live certificate line.
+pub fn sites_json(records: &[SiteRecord]) -> Json {
+    Json::Arr(
+        records
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("site", Json::Str(r.site.clone())),
+                    ("hits", Json::Int(r.hits as i64)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Builds the mixed trace source for one (class, secret) cell: a
@@ -281,8 +280,7 @@ pub fn certify_scheme(
         ));
     }
 
-    let mut declassified: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut violations: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut tally = SiteTally::default();
     let mut divergent_classes = 0usize;
     let mut max_action_bits = 0.0f64;
 
@@ -306,12 +304,7 @@ pub fn certify_scheme(
                 Ok(Runner::new(runner_config, sources)?.run())
             });
             let report = report?;
-            for site in log.declassified {
-                *declassified.entry(site.site).or_insert(0) += site.hits;
-            }
-            for site in log.violations {
-                *violations.entry(site.site).or_insert(0) += site.hits;
-            }
+            tally.add(&log);
             class_traces.push(
                 report
                     .domains
@@ -350,16 +343,7 @@ pub fn certify_scheme(
         }
     }
 
-    let to_records = |m: BTreeMap<&'static str, u64>| {
-        m.into_iter()
-            .map(|(site, hits)| SiteRecord {
-                site: site.to_string(),
-                hits,
-            })
-            .collect::<Vec<_>>()
-    };
-    let declassified_sites = to_records(declassified);
-    let violations = to_records(violations);
+    let (declassified_sites, violations) = tally.into_records();
     let verdict = if declassified_sites.is_empty() && divergent_classes == 0 {
         Verdict::ActionLeakFree
     } else {
@@ -513,17 +497,15 @@ mod tests {
             }],
             violations: vec![],
         };
-        let json = cert.to_json();
-        assert!(json.contains("\"verdict\": \"LeakSites\""), "{json}");
-        assert!(json.contains("\"max_action_bits\": 1.5"), "{json}");
-        assert!(
-            json.contains("\"site\": \"schedule::time::wall_clock\", \"hits\": 42"),
-            "{json}"
+        let json = cert.to_json().render();
+        assert_eq!(
+            json,
+            "{\"scheme\":\"TIME\",\"verdict\":\"LeakSites\",\"classes\":2,\
+             \"secrets_per_class\":3,\"divergent_classes\":1,\"max_action_bits\":1.5,\
+             \"declassified_sites\":[{\"site\":\"schedule::time::wall_clock\",\"hits\":42}],\
+             \"violations\":[]}"
         );
-        // Balanced braces (cheap well-formedness check; the bench
-        // crate's parser does the real round-trip in its own tests).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+        let parsed = Json::parse(&json).expect("renders valid JSON");
+        assert_eq!(parsed.render(), json);
     }
 }

@@ -6,7 +6,7 @@
 //! The secrecy lattice is the same two-point `Public ⊑ Secret` lattice
 //! as `untangle_core::taint`; the analysis adds two orthogonal
 //! determinism marks (hash-iteration order, wall-clock reads). A
-//! [`Taint`] value tracks, per expression:
+//! `Taint` value tracks, per expression:
 //!
 //! * which of the enclosing function's **parameters** it derives from
 //!   (a bitmask — the currency of the interprocedural summaries),
@@ -19,7 +19,7 @@
 //!
 //! # Summaries and fixpoint
 //!
-//! Each function gets a [`Summary`]: whether its return value is
+//! Each function gets a `Summary`: whether its return value is
 //! secret (seeded from a `Labeled` return type), and per parameter
 //! whether the function *sanitizes* it (passes it through
 //! `declassify`/`require_public`/`public_value`), forwards it to its
@@ -995,13 +995,13 @@ mod tests {
     use super::*;
     use crate::parse::parse_workspace;
 
-    /// Builds a throwaway mini-workspace on disk and analyzes it.
+    /// Builds a throwaway mini-workspace on disk and analyzes it. Each
+    /// call gets its own directory: tests run concurrently.
     fn analyze(files: &[(&str, &str)]) -> Vec<Finding> {
-        let dir = std::env::temp_dir().join(format!(
-            "untangle-flow-unit-{}-{}",
-            std::process::id(),
-            files.len()
-        ));
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("untangle-flow-unit-{}-{call}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for (rel, src) in files {
             let path = dir.join(rel);

@@ -11,7 +11,9 @@
 //!   dying. The rule also covers the experiment binaries
 //!   (`crates/bench/src/bin`), which must report failures through a
 //!   diagnostic and a nonzero exit status — the contract the
-//!   crash-recovery harnesses and CI observe.
+//!   crash-recovery harnesses and CI observe. There the rule also
+//!   flags `assert!`/`assert_eq!`/`assert_ne!` (a failed check must
+//!   exit 1, not unwind); `debug_assert!` stays legal.
 //! * [`Rule::FloatEq`] — no `==`/`!=` against float literals and no
 //!   `assert_eq!`/`assert_ne!` spanning float literals: exactness
 //!   claims must be explicit (`to_bits`) or toleranced.
@@ -657,6 +659,8 @@ pub(crate) fn test_attribute_end(toks: &[Token], i: usize) -> Option<usize> {
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
+/// Panicking checks the experiment binaries may not use outside tests.
+const ASSERT_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 const WALL_CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
 
 /// Lints one file's source text under the given scope.
@@ -731,7 +735,9 @@ pub fn lint_source(
                             ),
                         );
                     }
-                    if PANIC_MACROS.contains(&name.as_str()) && next_is('!') {
+                    let panics = PANIC_MACROS.contains(&name.as_str())
+                        || (scope.bench_bin && ASSERT_MACROS.contains(&name.as_str()));
+                    if panics && next_is('!') {
                         push(
                             &mut out,
                             tok,
@@ -1034,6 +1040,28 @@ fn method() -> u64 { 5u64.max(3) }
         assert_eq!(bin[0].rule, Rule::PanicFree);
         let lib = lint(src, FileScope::of(Path::new("crates/bench/src/report.rs")));
         assert!(lib.is_empty(), "{lib:?}");
+    }
+
+    #[test]
+    fn flags_asserts_in_experiment_binaries_only() {
+        let src = "fn main() { let n = 3; assert!(n > 2); assert_eq!(n, 3, \"n\"); \
+                   assert_ne!(n, 4); debug_assert!(n > 0); debug_assert_eq!(n, 3); }\n\
+                   #[cfg(test)]\nmod tests {\n #[test]\n fn t() { assert_eq!(1, 1); }\n}\n";
+        let bin = lint(
+            src,
+            FileScope::of(Path::new("crates/bench/src/bin/serve_bench.rs")),
+        );
+        assert_eq!(bin.len(), 3, "{bin:?}");
+        assert!(bin.iter().all(|v| v.rule == Rule::PanicFree), "{bin:?}");
+        // Framework code keeps its constructor-precondition asserts, and
+        // the bench library is out of the rule's reach.
+        for path in ["crates/core/src/decision.rs", "crates/bench/src/report.rs"] {
+            let other = lint(src, FileScope::of(Path::new(path)));
+            assert!(
+                other.iter().all(|v| v.rule != Rule::PanicFree),
+                "{path}: {other:?}"
+            );
+        }
     }
 
     #[test]

@@ -154,8 +154,8 @@ fn run() -> Result<(), UntangleError> {
     for m in 0..4 {
         t3.row(vec![
             m.to_string(),
-            f3(with_delay.table.rate(m)),
-            f3(without_delay.table.rate(m)),
+            f3(with_delay.rate(m)),
+            f3(without_delay.rate(m)),
         ]);
     }
     println!("{}", t3.render());

@@ -264,12 +264,7 @@ fn run() -> Result<(), UntangleError> {
                         sites.join(", ")
                     },
                 ]);
-                certificates.push(Json::parse(&cert.to_json()).map_err(|e| {
-                    UntangleError::InvalidConfig(format!(
-                        "certificate for {} rendered malformed JSON: {e}",
-                        cert.scheme
-                    ))
-                })?);
+                certificates.push(cert.to_json());
             }
             Err(e) => {
                 cert_table.row(vec![

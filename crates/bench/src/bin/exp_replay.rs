@@ -60,10 +60,11 @@ fn run() -> Result<(), UntangleError> {
             format!("{:.3}", d.ipc()),
         ]);
         carried += d.leakage.total_bits;
-        assert!(
-            carried <= budget + 1e-9,
-            "lifetime budget must never be exceeded"
-        );
+        if carried > budget + 1e-9 {
+            return Err(UntangleError::InvalidConfig(format!(
+                "run {run} exceeded the lifetime budget: {carried} of {budget} bits charged"
+            )));
+        }
     }
     println!("{}", table.render());
     println!(

@@ -10,8 +10,10 @@
 //!
 //! * every shard count must emit byte-identical output for the fixed
 //!   input interleaving (shard fan-out is unobservable);
-//! * a 1-shard engine must reproduce a batch [`Runner`] tap replay's
+//! * a 1-shard engine must reproduce a batch `Runner` tap replay's
 //!   decision traces bit for bit (`tap_equivalent` in the report).
+//!
+//! A gate that fails ends the run with a diagnostic and exit status 1.
 //!
 //! The container this repo builds in is single-core, so the per-shard
 //! numbers chart the sharding overhead floor rather than a speedup;
@@ -68,18 +70,17 @@ fn run() -> Result<(), UntangleError> {
         })?;
         let (lines, wall) = timed(|| engine.ingest_all(&events, burst));
         let lines = lines?;
-        match &reference {
-            None => reference = Some(lines.clone()),
-            Some(reference) => assert_eq!(
-                reference, &lines,
-                "output must be byte-identical at {shards} shard(s)"
-            ),
+        if *reference.get_or_insert_with(|| lines.clone()) != lines {
+            return Err(UntangleError::InvalidConfig(format!(
+                "output is not byte-identical at {shards} shard(s)"
+            )));
         }
         let decisions = lines.iter().filter(|l| l.contains("\"decision\"")).count();
-        assert!(
-            decisions as u64 >= domains / 2,
-            "the stream must actually drive decisions"
-        );
+        if (decisions as u64) < domains / 2 {
+            return Err(UntangleError::InvalidConfig(format!(
+                "the stream drove only {decisions} decisions over {domains} domains"
+            )));
+        }
         let secs = wall.as_secs_f64();
         let rate = decisions as f64 / secs.max(1e-9);
         table.row(vec![
@@ -109,10 +110,11 @@ fn run() -> Result<(), UntangleError> {
         .iter()
         .enumerate()
         .all(|(d, trace)| engine.trace_of(d as u64) == Some(trace));
-    assert!(
-        tap_equivalent,
-        "1-shard replay diverged from the batch runner"
-    );
+    if !tap_equivalent {
+        return Err(UntangleError::InvalidConfig(
+            "1-shard replay diverged from the batch runner".to_string(),
+        ));
+    }
 
     println!("{}", table.render());
     println!("byte-identical across shard counts: yes");

@@ -348,7 +348,7 @@ where
 pub mod fault {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Environment variable consulted by [`maybe_panic`].
+    /// Environment variable consulted by `maybe_panic`.
     pub const ENV: &str = "UNTANGLE_FAULT_INJECT";
 
     /// Injected panics fired so far in this process.

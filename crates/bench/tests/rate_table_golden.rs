@@ -66,11 +66,11 @@ fn assert_table(table: &RateTable, golden: &Golden, what: &str) {
 #[test]
 fn eval_scale_rate_model_is_pinned() {
     let config = RunnerConfig::eval_scale(SchemeKind::Untangle, 0.01).unwrap();
-    let model = config
+    let table = config
         .params
         .build_rate_model(config.machine.timing.commit_width)
         .unwrap();
-    assert_table(&model.table, &EVAL_SCALE_0_01, "eval_scale(Untangle, 0.01)");
+    assert_table(&table, &EVAL_SCALE_0_01, "eval_scale(Untangle, 0.01)");
 }
 
 #[test]

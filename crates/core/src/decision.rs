@@ -2,24 +2,30 @@
 //! domain's resizing pipeline owns *after* an action has been chosen
 //! and *around* choosing one.
 //!
-//! Historically this state machine lived inline in [`crate::runner`]'s
-//! `DomainState`. The serve daemon needs the identical semantics —
-//! budget gating, Maintain-optimized accounting, the random action
-//! delay δ drawn per visible action, the logical-vs-physical size
-//! split, trace recording — for domains that are admitted and retired
-//! at runtime, so the step machinery is factored into [`DecisionCore`]
-//! and both drivers run the same code path. Bit-identical behaviour is
-//! load-bearing: the serve acceptance criterion replays a telemetry
-//! stream through the batch `Runner` and through a 1-shard service and
-//! compares decision traces byte for byte.
+//! The batch [`crate::runner`] and the serve daemon build every domain's
+//! pipeline from the same core parts, so a domain decides identically
+//! under either driver:
+//!
+//! * [`crate::schedule::Schedule`] — the scheme's schedule, with its
+//!   interval check and the taint labels of its inputs;
+//! * [`crate::scheme::SchemeParams::accounting`] — the scheme's leakage
+//!   accounting model;
+//! * [`DecisionCore`] — the per-domain delay-RNG seed, the budget gate,
+//!   and the commit step.
+//!
+//! Bit-identical behaviour is load-bearing: the serve acceptance
+//! criterion replays a telemetry stream through the batch `Runner` and
+//! through a 1-shard service and compares decision traces byte for
+//! byte.
 //!
 //! A `DecisionCore` deliberately does **not** choose actions (that is
 //! the caller's heuristic, which may consult global state such as every
 //! domain's hit curve) and does not apply them to a cache model (the
 //! caller owns the `System` or serve-side bookkeeping). Its contract:
 //!
-//! 1. [`DecisionCore::gate`] — ask the leakage accountant whether an
-//!    assessment may proceed, must degrade to Maintain, or is skipped.
+//! 1. [`DecisionCore::decide`] — ask the leakage accountant whether an
+//!    assessment is skipped, must degrade to a forced Maintain, or may
+//!    proceed to the caller's heuristic.
 //! 2. [`DecisionCore::commit`] — classify the chosen action against the
 //!    *logical* size, charge the accountant, draw the delay for visible
 //!    actions, record the trace entry, and schedule the pending switch.
@@ -67,23 +73,27 @@ pub struct DecisionCore {
 }
 
 impl DecisionCore {
-    /// Builds a core starting at `initial_size` with an empty trace.
+    /// Builds the core of domain `domain` under base seed `seed`,
+    /// starting at `initial_size` with an empty trace.
     ///
-    /// `rng` drives the random action delay: δ is uniform over
-    /// `[0, delay_max_cycles)` for visible actions, zero when
-    /// `delay_max_cycles == 0`.
+    /// The random action delay δ is uniform over `[0, delay_max_cycles)`
+    /// for visible actions (zero when `delay_max_cycles == 0`), drawn
+    /// from a per-domain stream seeded with `seed + domain`, mixed: a
+    /// serve domain and the batch domain with the same seed and index
+    /// draw the identical δ sequence.
     pub fn new(
         accountant: LeakageAccountant,
         initial_size: PartitionSize,
-        rng: TraceRng,
         delay_max_cycles: u64,
+        seed: u64,
+        domain: u64,
     ) -> Self {
         Self {
             accountant,
             trace: ResizingTrace::new(),
             pending: None,
             logical_size: initial_size,
-            rng,
+            rng: TraceRng::new(seed.wrapping_add(domain).wrapping_mul(0x9e37)),
             delay_max_cycles,
         }
     }
@@ -157,16 +167,24 @@ impl DecisionCore {
         self.accountant.report()
     }
 
-    /// Whether the leakage budget froze further resizing.
-    pub fn is_frozen(&self) -> bool {
-        self.accountant.is_frozen()
-    }
-
-    /// Asks the leakage accountant whether an assessment at `now` may
-    /// proceed, must degrade to a forced Maintain, or is skipped
-    /// entirely (budget exhausted under worst-case accounting).
-    pub fn gate(&self, now: f64) -> BudgetGate {
-        self.accountant.gate(now)
+    /// The budget-gated action of one assessment at `now`, for
+    /// [`DecisionCore::commit`]: none under [`BudgetGate::Skip`], a
+    /// forced Maintain under [`BudgetGate::MaintainOnly`], and under
+    /// [`BudgetGate::Proceed`] whatever `choose(logical_size)` picks —
+    /// so a barred assessment never inspects its metric. The gate comes
+    /// back too, for drivers that account for barred assessments.
+    pub fn decide(
+        &self,
+        now: f64,
+        choose: impl FnOnce(PartitionSize) -> Option<Action>,
+    ) -> (BudgetGate, Option<Action>) {
+        let gate = self.accountant.gate(now);
+        let action = match gate {
+            BudgetGate::Skip => None,
+            BudgetGate::MaintainOnly => Some(Action::set_size(self.logical_size)),
+            BudgetGate::Proceed => choose(self.logical_size),
+        };
+        (gate, action)
     }
 
     /// Collects a pending resize whose delay has elapsed by `now`, if
@@ -248,12 +266,18 @@ mod tests {
     use super::*;
     use crate::leakage::AccountingMode;
 
+    /// The budget gate at `now`, without a heuristic.
+    fn gate(c: &DecisionCore, now: f64) -> BudgetGate {
+        c.decide(now, |_| None).0
+    }
+
     fn core(budget: Option<f64>, delay_max: u64) -> DecisionCore {
         DecisionCore::new(
             LeakageAccountant::new(AccountingMode::PerAssessment { bits: 1.0 }, budget),
             PartitionSize::MB2,
-            TraceRng::new(7),
             delay_max,
+            7,
+            0,
         )
     }
 
@@ -295,11 +319,11 @@ mod tests {
     #[test]
     fn budget_gate_and_freeze_are_exposed() {
         let mut c = core(Some(2.0), 0);
-        assert_eq!(c.gate(0.0), BudgetGate::Proceed);
+        assert_eq!(gate(&c, 0.0), BudgetGate::Proceed);
         let _ = c.commit(Action::set_size(PartitionSize::MB4), 1.0);
         let _ = c.commit(Action::set_size(PartitionSize::MB2), 2.0);
         // 2 bits charged against a 2-bit budget: the next gate refuses.
-        assert_ne!(c.gate(3.0), BudgetGate::Proceed);
+        assert_ne!(gate(&c, 3.0), BudgetGate::Proceed);
     }
 
     #[test]
@@ -307,15 +331,15 @@ mod tests {
         let mut c = core(Some(2.0), 0);
         let _ = c.commit(Action::set_size(PartitionSize::MB4), 1.0);
         let _ = c.commit(Action::set_size(PartitionSize::MB2), 2.0);
-        assert_ne!(c.gate(3.0), BudgetGate::Proceed, "budget spent");
+        assert_ne!(gate(&c, 3.0), BudgetGate::Proceed, "budget spent");
         c.reset_measurement();
         assert!(c.trace().is_empty());
         assert_eq!(c.report().assessments, 0);
         assert_eq!(c.report().total_bits, 0.0);
         // A freeze is sticky across the reset: security-preserving
         // state never relaxes at a measurement boundary.
-        assert_eq!(c.gate(3.0), BudgetGate::Skip);
-        assert!(c.is_frozen());
+        assert_eq!(gate(&c, 3.0), BudgetGate::Skip);
+        assert!(c.accountant().is_frozen());
         // Logical size carried over across the reset.
         assert_eq!(c.logical_size(), PartitionSize::MB2);
     }
@@ -355,6 +379,65 @@ mod tests {
         assert_eq!(original.report(), restored.report());
         assert_eq!(original.pending(), restored.pending());
         assert_eq!(original.rng_state(), restored.rng_state());
+    }
+
+    #[test]
+    fn the_delay_stream_is_seeded_by_seed_plus_domain() {
+        let acct = || LeakageAccountant::new(AccountingMode::PerAssessment { bits: 0.0 }, None);
+        let a = DecisionCore::new(acct(), PartitionSize::MB2, 1_000, 42, 1);
+        let b = DecisionCore::new(acct(), PartitionSize::MB2, 1_000, 43, 0);
+        let c = DecisionCore::new(acct(), PartitionSize::MB2, 1_000, 42, 2);
+        assert_eq!(a.rng_state(), b.rng_state());
+        assert_ne!(a.rng_state(), c.rng_state());
+    }
+
+    #[test]
+    fn decide_consults_the_heuristic_only_when_the_gate_proceeds() {
+        let grow = |current: PartitionSize| current.next_up().map(Action::set_size);
+        let mut c = core(Some(2.0), 0);
+        assert_eq!(
+            c.decide(1.0, grow),
+            (
+                BudgetGate::Proceed,
+                Some(Action::set_size(PartitionSize::MB3))
+            )
+        );
+        let _ = c.commit(Action::set_size(PartitionSize::MB3), 1.0);
+        let _ = c.commit(Action::set_size(PartitionSize::MB2), 2.0);
+        // Spent flat budget: skipped, and the heuristic never runs.
+        let (gate, action) = c.decide(3.0, |_| unreachable!("a skipped assessment chooses"));
+        assert_eq!((gate, action), (BudgetGate::Skip, None));
+    }
+
+    #[test]
+    fn decide_forces_a_maintain_when_only_maintains_are_affordable() {
+        use untangle_info::rate_table::RateTableConfig;
+        use untangle_info::{DelayDist, RateTable};
+        let table = RateTable::precompute(&RateTableConfig {
+            cooldown: 4,
+            n_symbols: 4,
+            step: 1,
+            delay: DelayDist::uniform(4).unwrap(),
+            max_maintains: 4,
+        })
+        .unwrap();
+        let mode = AccountingMode::RateTable {
+            table,
+            cycles_per_unit: 100.0,
+            cooldown_units: 4.0,
+            delay_units: 4.0,
+            optimized: true,
+        };
+        let c = DecisionCore::new(
+            LeakageAccountant::new(mode, Some(0.2)),
+            PartitionSize::MB4,
+            0,
+            7,
+            0,
+        );
+        let (gate, action) = c.decide(100_000.0, |_| unreachable!("a barred assessment chooses"));
+        assert_eq!(gate, BudgetGate::MaintainOnly);
+        assert_eq!(action, Some(Action::set_size(PartitionSize::MB4)));
     }
 
     #[test]

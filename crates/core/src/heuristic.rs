@@ -1,124 +1,61 @@
 //! The action heuristic (Table 2): picking a resizing action from the
 //! utilization metric.
 //!
-//! At an assessment, the heuristic sees the domain's hit curve (expected
-//! LLC hits under every candidate size within the monitor window) and
-//! the capacity budget it may occupy (its current partition plus the
-//! LLC's unassigned capacity). It picks the **smallest affordable size
-//! whose hits are within a slack band of the best affordable hits** —
-//! the same "adequate size" idea the paper uses to classify benchmarks
-//! (§8), applied online. Domains with flat curves therefore shrink and
-//! release capacity; domains whose curve keeps rising claim what is
-//! free; domains in steady state pick their current size, i.e.
-//! `Maintain` — which §9 reports as the outcome of ~90 % of
-//! assessments.
+//! Two rules are implemented, one per metric kind:
+//!
+//! * [`decide_global`] — the paper's heuristic for the hit-curve metric
+//!   (§7): at its own assessment a domain consults the allocation that
+//!   maximizes LLC hits across *all* domains' curves and moves toward
+//!   its own component of it.
+//! * [`decide_by_footprint`] — the §5.2 footprint metric turned into a
+//!   threshold policy: the smallest supported size that fits the recent
+//!   public footprint with [`FOOTPRINT_HEADROOM`].
+//!
+//! Both share the same capacity and damping rules: an expansion never
+//! exceeds the domain's current size plus the unassigned capacity, a
+//! shrink releases one supported size per assessment and only while the
+//! unassigned pool is below [`SHRINK_FREE_THRESHOLD`], and a monitor
+//! window with fewer than [`HeuristicConfig::min_window_fill`] accesses
+//! carries no signal. A domain in steady state therefore picks its
+//! current size, i.e. `Maintain` — which §9 reports as the outcome of
+//! ~90 % of assessments.
 
 use crate::action::Action;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::umon::{choose_partitions, HitCurve};
 
-/// Tunables of the size-selection rule.
+/// Expansion hysteresis: an expansion must gain more than
+/// `EXPAND_GAIN_FRACTION × window_fill` hits over the current size, or
+/// the hit-curve heuristic maintains. Every flap between adjacent sizes
+/// is an attacker-visible action, so damping noise-driven expansions is
+/// both a performance and a leakage win.
+pub const EXPAND_GAIN_FRACTION: f64 = 0.04;
+
+/// Shrinks are demand-driven: a domain only releases capacity while the
+/// LLC's unassigned pool is below this many bytes. This mirrors
+/// UMON-style global-utility allocation, where capacity moves only to
+/// where it buys hits — never into an idle pool.
+pub const SHRINK_FREE_THRESHOLD: u64 = 2 << 20;
+
+/// Footprint-rule headroom: the target size is the smallest supported
+/// size at least `FOOTPRINT_HEADROOM ×` the observed footprint.
+pub const FOOTPRINT_HEADROOM: f64 = 1.25;
+
+/// Tunables of the size-selection rules.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeuristicConfig {
-    /// Hits within `slack_fraction × window_fill` of the best affordable
-    /// size count as "good enough"; the smallest such size wins.
-    pub slack_fraction: f64,
-    /// Hysteresis: an expansion must gain at least
-    /// `expand_gain_fraction × window_fill` hits over the current size,
-    /// and a shrink must lose at most
-    /// `shrink_loss_fraction × window_fill` hits, or the heuristic
-    /// maintains. Asymmetric margins prevent noise-driven flapping
-    /// between adjacent sizes — every flap is an attacker-visible
-    /// action, so damping them is both a performance and a leakage win.
-    pub expand_gain_fraction: f64,
-    /// See [`HeuristicConfig::expand_gain_fraction`].
-    pub shrink_loss_fraction: f64,
     /// Below this many monitored accesses in the window the heuristic
     /// refuses to act (returns the current size ⇒ Maintain): an empty
     /// window carries no signal.
     pub min_window_fill: usize,
-    /// Shrinks are demand-driven: a domain only releases capacity while
-    /// the LLC's unassigned pool is below this threshold. This mirrors
-    /// UMON-style global-utility allocation, where capacity moves only
-    /// to where it buys hits — never into an idle pool.
-    pub shrink_free_threshold: u64,
 }
 
 impl Default for HeuristicConfig {
     fn default() -> Self {
         Self {
-            slack_fraction: 0.02,
-            expand_gain_fraction: 0.04,
-            shrink_loss_fraction: 0.01,
             min_window_fill: 64,
-            shrink_free_threshold: 2 << 20,
         }
     }
-}
-
-/// Picks the action for one domain.
-///
-/// * `curve` — hits per candidate size over the window;
-/// * `window_fill` — number of monitored accesses in the window;
-/// * `current` — the domain's current partition size;
-/// * `free_bytes` — the LLC's unassigned capacity; the domain may
-///   occupy `current + free` after the action, and only releases
-///   capacity while `free` is scarce.
-///
-/// The returned action always selects an affordable size; if nothing
-/// beats the slack rule, it selects `current` (a Maintain).
-pub fn decide(
-    curve: &HitCurve,
-    window_fill: usize,
-    current: PartitionSize,
-    free_bytes: u64,
-    config: &HeuristicConfig,
-) -> Action {
-    let budget_bytes = current.bytes() + free_bytes;
-    if window_fill < config.min_window_fill {
-        return Action::set_size(current);
-    }
-    let affordable = |s: PartitionSize| s.bytes() <= budget_bytes.max(current.bytes());
-    let best_hits = PartitionSize::ALL
-        .iter()
-        .filter(|s| affordable(**s))
-        .map(|s| curve[s.index()])
-        .max()
-        .unwrap_or(0);
-    let slack = (config.slack_fraction * window_fill as f64).ceil() as u64;
-    let threshold = best_hits.saturating_sub(slack);
-    let target = PartitionSize::ALL
-        .into_iter()
-        .find(|&s| affordable(s) && curve[s.index()] >= threshold)
-        .unwrap_or(current);
-
-    // Hysteresis around the current size.
-    let cur_hits = curve[current.index()];
-    let tgt_hits = curve[target.index()];
-    let decided = if target > current {
-        let gain_margin = (config.expand_gain_fraction * window_fill as f64).ceil() as u64;
-        if tgt_hits > cur_hits.saturating_add(gain_margin) {
-            target
-        } else {
-            current
-        }
-    } else if target < current {
-        let loss_margin = (config.shrink_loss_fraction * window_fill as f64).ceil() as u64;
-        if free_bytes >= config.shrink_free_threshold {
-            // Nobody is starved for capacity: releasing it buys nothing.
-            current
-        } else if cur_hits.saturating_sub(tgt_hits) <= loss_margin {
-            // Shrink at most one supported size per assessment: capacity
-            // is released gradually, so a noisy window can never crater
-            // the partition in a single action.
-            current.next_down().unwrap_or(current).max(target)
-        } else {
-            current
-        }
-    } else {
-        current
-    };
-    Action::set_size(decided)
 }
 
 /// The paper's action heuristic (§7): "during a resizing assessment,
@@ -127,13 +64,8 @@ pub fn decide(
 /// assessment, consults the global allocation and applies only its own
 /// component — so every resizing action stays in its owner's trace,
 /// and the system converges to the global optimum over a few
-/// assessment rounds:
-///
-/// * expansions are capped by the actually-unassigned capacity (a
-///   domain never grabs bytes another domain still logically owns);
-/// * shrinks release one supported size per assessment, and only while
-///   capacity is scarce (an idle pool profits nobody);
-/// * the hysteresis margins damp noise-driven flapping.
+/// assessment rounds. An expansion must also gain more than
+/// [`EXPAND_GAIN_FRACTION`] of the window in hits.
 pub fn decide_global(
     curves: &[HitCurve],
     domain: usize,
@@ -147,69 +79,58 @@ pub fn decide_global(
     if window_fill < config.min_window_fill {
         return Action::set_size(current);
     }
-    let allocation = choose_partitions(curves, llc_bytes);
-    let mut target = allocation[domain];
-    while target > current && target.bytes() > current.bytes() + free_bytes {
-        match target.next_down() {
-            Some(t) => target = t,
-            None => break,
-        }
-    }
     let curve = &curves[domain];
-    let cur_hits = curve[current.index()];
-    let tgt_hits = curve[target.index()];
-    let decided = if target > current {
-        let gain_margin = (config.expand_gain_fraction * window_fill as f64).ceil() as u64;
-        if tgt_hits > cur_hits.saturating_add(gain_margin) {
-            target
-        } else {
-            current
-        }
-    } else if target < current {
-        if free_bytes >= config.shrink_free_threshold {
-            current
-        } else {
-            current.next_down().unwrap_or(current).max(target)
-        }
-    } else {
-        current
-    };
-    Action::set_size(decided)
+    let gain_margin = (EXPAND_GAIN_FRACTION * window_fill as f64).ceil() as u64;
+    let target = choose_partitions(curves, llc_bytes)[domain];
+    settle(target, current, free_bytes, |target| {
+        curve[target.index()] > curve[current.index()].saturating_add(gain_margin)
+    })
 }
 
 /// The footprint-threshold heuristic — the §5.2 example metric turned
 /// into a policy, in the spirit of Table 1's threshold-based schemes:
 /// pick the smallest supported size that fits the recent public memory
-/// footprint with `headroom` (e.g. `1.25` = 25 % slack), then apply
-/// the same hysteresis/budget rules as the hit-curve heuristic.
+/// footprint with [`FOOTPRINT_HEADROOM`], then apply the same budget
+/// and stepwise-shrink rules as the hit-curve heuristic.
 pub fn decide_by_footprint(
     footprint_bytes: u64,
     window_fill: usize,
     current: PartitionSize,
     free_bytes: u64,
-    headroom: f64,
     config: &HeuristicConfig,
 ) -> Action {
     if window_fill < config.min_window_fill {
         return Action::set_size(current);
     }
-    let wanted = (footprint_bytes as f64 * headroom.max(1.0)) as u64;
-    let mut target = PartitionSize::at_least(wanted);
-    // Budget: never grow beyond current + free.
+    let wanted = (footprint_bytes as f64 * FOOTPRINT_HEADROOM) as u64;
+    settle(PartitionSize::at_least(wanted), current, free_bytes, |_| {
+        true
+    })
+}
+
+/// The capacity and damping rules both heuristics apply to their
+/// `target`: an expansion is capped at `current + free_bytes` (a domain
+/// never grabs bytes another domain still logically owns) and happens
+/// only if `worth_expanding` the capped target; a shrink releases one
+/// supported size per assessment, and only while the unassigned pool
+/// is below [`SHRINK_FREE_THRESHOLD`] (an idle pool profits nobody);
+/// anything else maintains.
+fn settle(
+    mut target: PartitionSize,
+    current: PartitionSize,
+    free_bytes: u64,
+    worth_expanding: impl FnOnce(PartitionSize) -> bool,
+) -> Action {
     while target > current && target.bytes() > current.bytes() + free_bytes {
         match target.next_down() {
             Some(t) => target = t,
             None => break,
         }
     }
-    let decided = if target > current {
+    let decided = if target > current && worth_expanding(target) {
         target
-    } else if target < current {
-        if free_bytes >= config.shrink_free_threshold {
-            current
-        } else {
-            current.next_down().unwrap_or(current).max(target)
-        }
+    } else if target < current && free_bytes < SHRINK_FREE_THRESHOLD {
+        current.next_down().unwrap_or(current).max(target)
     } else {
         current
     };
@@ -226,17 +147,14 @@ mod tests {
         HeuristicConfig::default()
     }
 
-    #[test]
-    fn flat_curve_shrinks_one_step_when_capacity_is_scarce() {
-        let curve: HitCurve = [500; 9];
-        let a = decide(&curve, 1000, PartitionSize::MB2, 0, &cfg());
-        assert_eq!(a.size, PartitionSize::MB1, "stepwise, demand-driven shrink");
+    /// [`decide_global`] for a single domain owning the whole LLC.
+    fn decide_alone(curve: HitCurve, fill: usize, current: PartitionSize, free: u64) -> Action {
+        decide_global(&[curve], 0, fill, current, free, FULL, &cfg())
     }
 
     #[test]
     fn no_shrink_while_capacity_is_plentiful() {
-        let curve: HitCurve = [500; 9];
-        let a = decide(&curve, 1000, PartitionSize::MB2, 8 << 20, &cfg());
+        let a = decide_alone([500; 9], 1000, PartitionSize::MB2, 8 << 20);
         assert_eq!(a.size, PartitionSize::MB2, "idle pool ⇒ keep capacity");
     }
 
@@ -251,7 +169,7 @@ mod tests {
                 (i as u64) * 100
             };
         }
-        let a = decide(&curve, 1000, PartitionSize::MB2, FULL, &cfg());
+        let a = decide_alone(curve, 1000, PartitionSize::MB2, FULL);
         assert_eq!(a.size, PartitionSize::MB4);
     }
 
@@ -262,54 +180,31 @@ mod tests {
         for h in curve.iter_mut().skip(PartitionSize::MB1.index()) {
             *h = 950;
         }
-        let a = decide(&curve, 1000, PartitionSize::MB1, FULL, &cfg());
+        let a = decide_alone(curve, 1000, PartitionSize::MB1, FULL);
         assert_eq!(a.size, PartitionSize::MB1, "already adequate ⇒ Maintain");
     }
 
     #[test]
-    fn budget_caps_expansion() {
-        let mut curve: HitCurve = [0; 9];
-        for (i, h) in curve.iter_mut().enumerate() {
-            *h = i as u64 * 1000; // always wants more
-        }
-        // Only 512 kB of free capacity: 1 MB total budget.
-        let a = decide(&curve, 1000, PartitionSize::KB512, 512 << 10, &cfg());
-        assert_eq!(a.size, PartitionSize::MB1);
-    }
-
-    #[test]
     fn current_size_is_always_affordable() {
-        // Even a budget below the current size must not force a panic or
-        // an unaffordable pick: the domain may keep what it has.
-        let curve: HitCurve = [0, 0, 0, 0, 0, 0, 0, 0, 0];
-        let a = decide(&curve, 1000, PartitionSize::MB8, 0, &cfg());
-        // With zero free bytes, shrinking is allowed (scarcity).
-        // Flat curve ⇒ shrink to minimum is fine too; the pick must just
-        // be ≤ current.
+        // Even with no free capacity the domain may keep what it has; a
+        // flat curve under scarcity may only step down.
+        let a = decide_alone([0; 9], 1000, PartitionSize::MB8, 0);
         assert!(a.size <= PartitionSize::MB8);
     }
 
     #[test]
-    fn slack_tolerates_noise() {
-        // 1 % better hits at 8 MB is inside the 2 % slack band: stay
-        // small.
+    fn gain_margin_damps_noise() {
+        // 1 % better hits at 8 MB is inside the 4 % expansion margin:
+        // stay small.
         let mut curve: HitCurve = [1000; 9];
         curve[PartitionSize::MB8.index()] = 1009;
-        let a = decide(&curve, 1000, PartitionSize::KB128, FULL, &cfg());
+        let a = decide_alone(curve, 1000, PartitionSize::KB128, FULL);
         assert_eq!(a.size, PartitionSize::KB128);
         // But a 10 % gain is a real expansion signal.
         let mut strong: HitCurve = [1000; 9];
         strong[PartitionSize::MB8.index()] = 1100;
-        let b = decide(&strong, 1000, PartitionSize::KB128, FULL, &cfg());
+        let b = decide_alone(strong, 1000, PartitionSize::KB128, FULL);
         assert_eq!(b.size, PartitionSize::MB8);
-    }
-
-    #[test]
-    fn empty_window_maintains() {
-        let mut curve: HitCurve = [0; 9];
-        curve[8] = 3; // a few stray hits
-        let a = decide(&curve, 3, PartitionSize::MB2, FULL, &cfg());
-        assert_eq!(a.size, PartitionSize::MB2);
     }
 
     #[test]
@@ -344,53 +239,40 @@ mod tests {
 
     #[test]
     fn global_chooser_never_exceeds_free_capacity() {
-        let cfg = HeuristicConfig::default();
         let mut hungry: HitCurve = [0; 9];
         for (i, h) in hungry.iter_mut().enumerate() {
             *h = (i as u64 + 1) * 500;
         }
-        let a = decide_global(
-            &[hungry],
-            0,
-            1000,
-            PartitionSize::MB2,
-            1 << 20,
-            16 << 20,
-            &cfg,
-        );
+        let a = decide_alone(hungry, 1000, PartitionSize::MB2, 1 << 20);
         assert!(a.size.bytes() <= (2 << 20) + (1 << 20));
     }
 
     #[test]
     fn global_chooser_maintains_on_thin_window() {
-        let cfg = HeuristicConfig::default();
         let hungry: HitCurve = [0, 1, 2, 3, 4, 5, 6, 7, 800];
-        let a = decide_global(&[hungry], 0, 3, PartitionSize::MB2, 8 << 20, 16 << 20, &cfg);
+        let a = decide_alone(hungry, 3, PartitionSize::MB2, 8 << 20);
         assert_eq!(a.size, PartitionSize::MB2);
     }
 
     #[test]
     fn footprint_heuristic_fits_the_footprint() {
-        let cfg = HeuristicConfig::default();
         // 3 MB footprint with 25 % headroom needs 4 MB.
-        let a = decide_by_footprint(3 << 20, 1000, PartitionSize::MB2, 16 << 20, 1.25, &cfg);
+        let a = decide_by_footprint(3 << 20, 1000, PartitionSize::MB2, 16 << 20, &cfg());
         assert_eq!(a.size, PartitionSize::MB4);
     }
 
     #[test]
     fn footprint_heuristic_respects_budget() {
-        let cfg = HeuristicConfig::default();
         // Wants 8 MB but only 1 MB free above the 2 MB current.
-        let a = decide_by_footprint(7 << 20, 1000, PartitionSize::MB2, 1 << 20, 1.0, &cfg);
+        let a = decide_by_footprint(6 << 20, 1000, PartitionSize::MB2, 1 << 20, &cfg());
         assert_eq!(a.size, PartitionSize::MB3);
     }
 
     #[test]
     fn footprint_heuristic_shrinks_stepwise_under_scarcity() {
-        let cfg = HeuristicConfig::default();
-        let a = decide_by_footprint(64 << 10, 1000, PartitionSize::MB4, 0, 1.25, &cfg);
+        let a = decide_by_footprint(64 << 10, 1000, PartitionSize::MB4, 0, &cfg());
         assert_eq!(a.size, PartitionSize::MB3);
-        let b = decide_by_footprint(64 << 10, 1000, PartitionSize::MB4, 8 << 20, 1.25, &cfg);
+        let b = decide_by_footprint(64 << 10, 1000, PartitionSize::MB4, 8 << 20, &cfg());
         assert_eq!(
             b.size,
             PartitionSize::MB4,
@@ -400,8 +282,7 @@ mod tests {
 
     #[test]
     fn footprint_heuristic_maintains_on_empty_window() {
-        let cfg = HeuristicConfig::default();
-        let a = decide_by_footprint(8 << 20, 3, PartitionSize::MB1, 16 << 20, 1.25, &cfg);
+        let a = decide_by_footprint(8 << 20, 3, PartitionSize::MB1, 16 << 20, &cfg());
         assert_eq!(a.size, PartitionSize::MB1);
     }
 
@@ -411,8 +292,8 @@ mod tests {
         for (i, h) in curve.iter_mut().enumerate() {
             *h = (i as u64 * 37) % 400;
         }
-        let a = decide(&curve, 500, PartitionSize::MB3, FULL, &cfg());
-        let b = decide(&curve, 500, PartitionSize::MB3, FULL, &cfg());
+        let a = decide_alone(curve, 500, PartitionSize::MB3, FULL);
+        let b = decide_alone(curve, 500, PartitionSize::MB3, FULL);
         assert_eq!(a, b);
     }
 }

@@ -265,35 +265,20 @@ impl LeakageAccountant {
     /// charged for it.
     pub fn on_assessment(&mut self, class: ActionClass, cycles_now: f64) -> f64 {
         self.report.assessments += 1;
-        let bits = match &self.mode {
-            AccountingMode::PerAssessment { bits } => *bits,
+        // Every assessment is charged as a visible action would be,
+        // except Maintains under the Maintain-optimized model: they are
+        // invisible to the attacker and free.
+        let optimized = matches!(
+            self.mode,
             AccountingMode::RateTable {
-                table,
-                cycles_per_unit,
-                cooldown_units,
-                delay_units,
-                optimized,
-            } => {
-                if *optimized {
-                    if class.is_visible() {
-                        let dt_units = (cycles_now - self.last_visible_cycles) / cycles_per_unit;
-                        transmission_bits(
-                            table,
-                            self.consecutive_maintains,
-                            dt_units,
-                            *cooldown_units,
-                            *delay_units,
-                        )
-                    } else {
-                        0.0
-                    }
-                } else {
-                    // Worst case: every assessment is charged as a
-                    // visible action with no Maintain credit.
-                    let dt_units = (cycles_now - self.last_assessment_cycles) / cycles_per_unit;
-                    transmission_bits(table, 0, dt_units, *cooldown_units, *delay_units)
-                }
+                optimized: true,
+                ..
             }
+        );
+        let bits = if optimized && !class.is_visible() {
+            0.0
+        } else {
+            self.visible_charge_bits(cycles_now)
         };
         match class {
             ActionClass::Maintain => {
@@ -322,7 +307,9 @@ impl LeakageAccountant {
     }
 
     /// The bits a hypothetical *visible* action at `cycles_now` would be
-    /// charged.
+    /// charged: the flat per-assessment charge, or the rate-table bound
+    /// anchored at the last visible action with its Maintain credit
+    /// (optimized) or at the last assessment with none (worst case).
     pub fn visible_charge_bits(&self, cycles_now: f64) -> f64 {
         match &self.mode {
             AccountingMode::PerAssessment { bits } => *bits,

@@ -12,10 +12,11 @@
 //!   footprint metric.
 //! * [`schedule`] — resizing schedules: the conventional time-based
 //!   schedule and Untangle's progress-based schedule (Principle 2) with
-//!   a structural cooldown guarantee (Mechanism 1, §5.3.2).
-//! * [`heuristic`] — the action heuristic: per-assessment partition-size
-//!   selection from the hit curve under a capacity budget, with the
-//!   slack rule that produces Maintain-heavy behaviour.
+//!   a structural cooldown guarantee (Mechanism 1, §5.3.2), and the
+//!   per-domain [`schedule::Schedule`] that picks one per scheme.
+//! * [`heuristic`] — the action heuristics: global hit maximization
+//!   over every domain's hit curve (§7) and the footprint threshold
+//!   rule, both capacity-bounded and damped toward Maintain.
 //! * [`leakage`] — runtime leakage accounting: `log2 |A|` per assessment
 //!   for conventional schemes (§3.3) and the `R_max(m)` rate-table
 //!   charging of §5.3.4/§7 for Untangle, plus leakage budgets that
@@ -26,6 +27,9 @@
 //! * [`enumerate`] — the §3.2 ground-truth leakage measurement:
 //!   enumerate inputs, run the scheme, take the entropy of the
 //!   realized traces.
+//! * [`decision`] — the per-domain decision step ([`DecisionCore`]:
+//!   delay-RNG seed, budget gate, commit) that the batch runner and the
+//!   serve daemon share.
 //! * [`runner`] — the multi-domain evaluation driver: interleaves
 //!   domains in global-time order, applies delayed resizes (Mechanism
 //!   2), samples partition sizes, and produces per-domain reports.

@@ -23,16 +23,15 @@ use crate::action::{Action, ResizingTrace};
 use crate::decision::DecisionCore;
 use crate::error::UntangleError;
 use crate::heuristic;
-use crate::leakage::{AccountingMode, BudgetGate, LeakageAccountant, LeakageReport};
+use crate::leakage::{LeakageAccountant, LeakageReport};
 use crate::metric::{FootprintMetric, HitCurveMetric, MetricPolicy};
-use crate::schedule::{ProgressSchedule, ScheduleEvent, TimeSchedule};
+use crate::schedule::Schedule;
 use crate::scheme::{DomainTier, MetricKind, SchemeKind, SchemeParams};
 use crate::taint::{sites, Labeled};
 use untangle_obs as obs;
 use untangle_sim::config::{MachineConfig, PartitionSize};
 use untangle_sim::stats::{geometric_mean, nearest_rank_index, DomainStats};
 use untangle_sim::system::{LlcMode, System};
-use untangle_trace::synth::TraceRng;
 use untangle_trace::TraceSource;
 
 /// Everything a [`Runner`] needs besides the workloads.
@@ -273,11 +272,11 @@ impl DomainMetric {
 
 struct DomainState {
     metric: Option<DomainMetric>,
-    time_sched: Option<TimeSchedule>,
-    prog_sched: Option<ProgressSchedule>,
+    /// The scheme's schedule — shared with the serve daemon, like the
+    /// decision step below; see [`crate::decision`].
+    schedule: Schedule,
     /// The per-domain decision step machinery (accountant, trace,
-    /// pending delayed action, logical size, delay RNG) — shared with
-    /// the serve daemon, see [`crate::decision`].
+    /// pending delayed action, logical size, delay RNG).
     decision: DecisionCore,
     warmup_done: bool,
     warmup_snap: DomainStats,
@@ -305,8 +304,8 @@ impl Runner {
     /// # Errors
     ///
     /// * [`UntangleError::InvalidConfig`] — no sources, the initial
-    ///   partitions oversubscribe the LLC, or an Untangle run with a
-    ///   zero progress interval.
+    ///   partitions oversubscribe the LLC, or a schedule interval that
+    ///   is not positive ([`Schedule::check`]).
     /// * Any `untangle-info` error from the `R_max` rate-model build
     ///   (Untangle scheme only), converted via `From<InfoError>`.
     pub fn new(
@@ -332,37 +331,6 @@ impl Runner {
                 config.machine.llc_bytes
             )));
         }
-        if config.kind == SchemeKind::Untangle && config.params.progress_interval_instrs == 0 {
-            return Err(UntangleError::InvalidConfig(
-                "Untangle's progress interval must be at least one instruction".to_string(),
-            ));
-        }
-        let mut system = System::new(config.machine.clone(), domains, mode);
-        for d in 0..domains {
-            system.resize(d, config.initial_partition);
-        }
-
-        let accounting = match config.kind {
-            SchemeKind::Time => AccountingMode::PerAssessment {
-                bits: SchemeParams::conventional_bits_per_assessment(),
-            },
-            SchemeKind::Untangle => {
-                let model = config
-                    .params
-                    .build_rate_model(config.machine.timing.commit_width)?;
-                AccountingMode::RateTable {
-                    table: model.table,
-                    cycles_per_unit: model.cycles_per_unit,
-                    cooldown_units: model.cooldown_units,
-                    delay_units: model.delay_units,
-                    optimized: config.params.optimized_accounting,
-                }
-            }
-            // Static/Shared never assess; SecDCP's tiered flows are
-            // permitted by its security model, so nothing is charged.
-            _ => AccountingMode::PerAssessment { bits: 0.0 },
-        };
-
         let tier_of = |d: usize| {
             config
                 .tiers
@@ -371,8 +339,21 @@ impl Runner {
                 .copied()
                 .unwrap_or(DomainTier::Sensitive)
         };
-        let states = (0..domains)
-            .map(|d| DomainState {
+        let schedules = (0..domains)
+            .map(|d| Schedule::new(config.kind, tier_of(d), &config.params))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut system = System::new(config.machine.clone(), domains, mode);
+        for d in 0..domains {
+            system.resize(d, config.initial_partition);
+        }
+
+        let accounting = config
+            .params
+            .accounting(config.kind, config.machine.timing.commit_width)?;
+        let states = schedules
+            .into_iter()
+            .enumerate()
+            .map(|(d, schedule)| DomainState {
                 metric: {
                     let policy = match config.kind {
                         SchemeKind::Untangle => {
@@ -394,16 +375,13 @@ impl Runner {
                         )),
                     })
                 },
-                time_sched: (config.kind == SchemeKind::Time
-                    || (config.kind == SchemeKind::SecDcp && tier_of(d) == DomainTier::Public))
-                    .then(|| TimeSchedule::new(config.params.time_interval_cycles)),
-                prog_sched: (config.kind == SchemeKind::Untangle)
-                    .then(|| ProgressSchedule::new(config.params.progress_interval_instrs)),
+                schedule,
                 decision: DecisionCore::new(
                     LeakageAccountant::new(accounting.clone(), config.params.leakage_budget_bits),
                     config.initial_partition,
-                    TraceRng::new(config.seed.wrapping_add(d as u64).wrapping_mul(0x9e37)),
                     config.params.delay_max_cycles,
+                    config.seed,
+                    d as u64,
                 ),
                 warmup_done: false,
                 warmup_snap: DomainStats::default(),
@@ -466,10 +444,7 @@ impl Runner {
         TelemetrySample {
             domain,
             cycles: now,
-            progress_instrs: st
-                .prog_sched
-                .as_ref()
-                .map_or(0, ProgressSchedule::interval_instrs),
+            progress_instrs: st.schedule.progress_interval(),
             window_fill,
             hit_curve,
             footprint_bytes,
@@ -501,26 +476,15 @@ impl Runner {
         if let Some(metric) = &mut self.states[domain].metric {
             metric.observe(&event.instr);
         }
-        // The domain clock reflects secret-dependent execution timing,
-        // so it enters the wall-clock schedule as `Secret` (the schedule
-        // declassifies it at its named Edge ③ site). Progress counts are
-        // public by the §6 annotation contract, so Untangle's schedule
-        // sees only `Public` inputs and its fail-closed guard stays
-        // silent.
-        let assess = if let Some(sched) = self.states[domain].time_sched.as_mut() {
-            sched.on_retire(Labeled::secret(now)) == ScheduleEvent::Assess
-        } else if let Some(sched) = self.states[domain].prog_sched.as_mut() {
-            sched.on_retire(Labeled::public(event.instr.counts_toward_progress()))
-                == ScheduleEvent::Assess
-        } else {
-            false
-        };
+        let counted = u64::from(event.instr.counts_toward_progress());
+        let assess = self.states[domain].schedule.on_progress(now, counted);
         if assess {
             tap(self.telemetry_sample(domain, now));
-            match self.states[domain].decision.gate(now) {
-                BudgetGate::Skip => {}
-                BudgetGate::MaintainOnly => self.assess_inner(domain, now, true),
-                BudgetGate::Proceed => self.assess_inner(domain, now, false),
+            let (_, action) = self.states[domain]
+                .decision
+                .decide(now, |current| self.choose(domain, current));
+            if let Some(action) = action {
+                self.commit(domain, action, now);
             }
         }
 
@@ -563,11 +527,9 @@ impl Runner {
         false
     }
 
-    /// Performs one resizing assessment for `domain` at cycle `now`.
-    /// With `forced_maintain`, the leakage budget bars visible actions
-    /// and the assessment records a Maintain regardless of demand.
-    fn assess_inner(&mut self, domain: usize, now: f64, forced_maintain: bool) {
-        let current = self.states[domain].decision.logical_size();
+    /// The heuristic's action for `domain` at its logical size
+    /// `current`, or `None` for a domain without a metric.
+    fn choose(&self, domain: usize, current: PartitionSize) -> Option<Action> {
         // Capacity accounting over *logical* sizes: decided-but-not-yet
         // -applied actions already own (or have released) their bytes,
         // so concurrent assessments can neither oversubscribe the LLC
@@ -580,74 +542,70 @@ impl Runner {
             .sum();
         let free = llc_bytes.saturating_sub(assigned);
 
-        let action = if forced_maintain {
-            Action::set_size(current)
-        } else {
-            // Only scheme kinds that install a metric also install a
-            // schedule, so assessments imply a metric; if that invariant
-            // ever slips, skip the assessment rather than panic mid-run.
-            let Some(metric) = self.states[domain].metric.as_ref() else {
-                return;
-            };
-            match metric {
-                DomainMetric::Hits(m) => {
-                    // Global hit maximization (§7): consult every
-                    // domain's public curve, apply only our component.
-                    // Domains without a hit-curve metric (Static-tier
-                    // domains under SecDCP) contribute a flat curve, so
-                    // the chooser leaves them at the minimum and they
-                    // never act anyway.
-                    let fill = m.window_fill();
-                    // Fold the labeled curves; the collection carries the
-                    // join of every curve's label, and crossing into the
-                    // heuristic is the declassification. On Untangle's
-                    // default public-only path the join is `Public` and
-                    // the declassify records nothing; a tainted curve
-                    // (conventional metric, or the all-seeing ablation
-                    // override on Untangle) is recorded at a site naming
-                    // *why* it was tainted.
-                    let mut curves = Labeled::public(Vec::with_capacity(self.states.len()));
-                    for st in &self.states {
-                        let curve = match &st.metric {
-                            Some(DomainMetric::Hits(m)) => m.hit_curve(),
-                            _ => Labeled::public([0; untangle_sim::config::PartitionSize::COUNT]),
-                        };
-                        curves = curves.combine(curve, |mut v, c| {
-                            v.push(c);
-                            v
-                        });
-                    }
-                    let site = match self.config.kind {
-                        SchemeKind::Untangle => sites::METRIC_POLICY_OVERRIDE,
-                        _ => sites::CONVENTIONAL_METRIC,
+        // Only scheme kinds that install a metric also install a
+        // schedule, so assessments imply a metric; if that invariant
+        // ever slips, skip the assessment rather than panic mid-run.
+        let action = match self.states[domain].metric.as_ref()? {
+            DomainMetric::Hits(m) => {
+                // Global hit maximization (§7): consult every domain's
+                // public curve, apply only our component. Domains
+                // without a hit-curve metric (Static-tier domains under
+                // SecDCP) contribute a flat curve, so the chooser leaves
+                // them at the minimum and they never act anyway.
+                let fill = m.window_fill();
+                // Fold the labeled curves; the collection carries the
+                // join of every curve's label, and crossing into the
+                // heuristic is the declassification. On Untangle's
+                // default public-only path the join is `Public` and the
+                // declassify records nothing; a tainted curve
+                // (conventional metric, or the all-seeing ablation
+                // override on Untangle) is recorded at a site naming
+                // *why* it was tainted.
+                let mut curves = Labeled::public(Vec::with_capacity(self.states.len()));
+                for st in &self.states {
+                    let curve = match &st.metric {
+                        Some(DomainMetric::Hits(m)) => m.hit_curve(),
+                        _ => Labeled::public([0; PartitionSize::COUNT]),
                     };
-                    let curves = curves.declassify(site);
-                    heuristic::decide_global(
-                        &curves,
-                        domain,
-                        fill,
-                        current,
-                        free,
-                        llc_bytes,
-                        &self.config.params.heuristic,
-                    )
+                    curves = curves.combine(curve, |mut v, c| {
+                        v.push(c);
+                        v
+                    });
                 }
-                DomainMetric::Footprint(m) => {
-                    let site = match self.config.kind {
-                        SchemeKind::Untangle => sites::METRIC_POLICY_OVERRIDE,
-                        _ => sites::CONVENTIONAL_FOOTPRINT,
-                    };
-                    heuristic::decide_by_footprint(
-                        m.footprint_bytes().declassify(site),
-                        m.window_fill(),
-                        current,
-                        free,
-                        self.config.params.footprint_headroom,
-                        &self.config.params.heuristic,
-                    )
-                }
+                let site = match self.config.kind {
+                    SchemeKind::Untangle => sites::METRIC_POLICY_OVERRIDE,
+                    _ => sites::CONVENTIONAL_METRIC,
+                };
+                let curves = curves.declassify(site);
+                heuristic::decide_global(
+                    &curves,
+                    domain,
+                    fill,
+                    current,
+                    free,
+                    llc_bytes,
+                    &self.config.params.heuristic,
+                )
+            }
+            DomainMetric::Footprint(m) => {
+                let site = match self.config.kind {
+                    SchemeKind::Untangle => sites::METRIC_POLICY_OVERRIDE,
+                    _ => sites::CONVENTIONAL_FOOTPRINT,
+                };
+                heuristic::decide_by_footprint(
+                    m.footprint_bytes().declassify(site),
+                    m.window_fill(),
+                    current,
+                    free,
+                    &self.config.params.heuristic,
+                )
             }
         };
+        Some(action)
+    }
+
+    /// Commits `domain`'s decided `action` at cycle `now`.
+    fn commit(&mut self, domain: usize, action: Action, now: f64) {
         // Classification, accounting, the delay draw, trace recording,
         // and the pending switch all happen inside the shared decision
         // core — the serve daemon runs the same step.
@@ -665,7 +623,7 @@ impl Runner {
             // partition, forcing the next assessment toward a visible
             // expansion (§6.2). This is an attacker act, not a victim
             // resizing action, so it does not enter the victim's trace.
-            if let Some(smaller) = current.next_down() {
+            if let Some(smaller) = action.size.next_down() {
                 self.system.resize(domain, smaller);
             }
         }
@@ -739,6 +697,23 @@ mod tests {
             Runner::new(config, vec![ws_source(1 << 20, 1)]),
             Err(UntangleError::InvalidConfig(_))
         ));
+
+        // A wall-clock interval that is not positive: an error, not a
+        // panic in the time schedule — for SecDCP even when no domain is
+        // public.
+        for kind in [SchemeKind::Time, SchemeKind::SecDcp] {
+            for bad in [0.0, -1.0, f64::NAN] {
+                let mut config = RunnerConfig::test_scale(kind, 1);
+                config.params.time_interval_cycles = bad;
+                assert!(
+                    matches!(
+                        Runner::new(config, vec![ws_source(1 << 20, 1)]),
+                        Err(UntangleError::InvalidConfig(_))
+                    ),
+                    "{kind} with interval {bad}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,15 @@
 //! a public-only interface that rejects secret-labeled counts
 //! fail-closed, so Untangle's schedule cannot silently consume tainted
 //! progress.
+//!
+//! [`Schedule`] is what a driver holds per domain: it picks the
+//! schedule a scheme prescribes, checks its interval, and labels the
+//! driver's raw inputs — the domain clock is always `Secret`, progress
+//! counts are always `Public` — so the batch `Runner` and the serve
+//! daemon cannot label them differently.
 
+use crate::error::UntangleError;
+use crate::scheme::{DomainTier, SchemeKind, SchemeParams};
 use crate::taint::{sites, Labeled};
 
 /// When the next assessment is due, reported by a schedule.
@@ -212,6 +220,137 @@ impl ProgressSchedule {
     }
 }
 
+/// A domain's resizing schedule as its scheme prescribes it.
+#[derive(Debug, Clone)]
+pub struct Schedule(Clock);
+
+#[derive(Debug, Clone)]
+enum Clock {
+    Never,
+    Time(TimeSchedule),
+    Progress(ProgressSchedule),
+}
+
+/// Where a [`Schedule`] stands between assessments — what a snapshot
+/// carries so a restored schedule fires where the original would have.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SchedulePosition {
+    /// A schedule that never fires.
+    Never,
+    /// A wall-clock schedule's next firing cycle.
+    NextAt(f64),
+    /// A progress schedule's progress counted since its last firing.
+    Counted(u64),
+}
+
+impl Schedule {
+    /// Checks that `params` give the schedule of a `kind` domain a
+    /// positive interval: wall-clock cycles (not NaN) for Time and
+    /// SecDCP, counted instructions for Untangle.
+    ///
+    /// # Errors
+    ///
+    /// [`UntangleError::InvalidConfig`] naming the offending interval.
+    pub fn check(kind: SchemeKind, params: &SchemeParams) -> Result<(), UntangleError> {
+        let cycles = params.time_interval_cycles;
+        let bad = match kind {
+            SchemeKind::Time | SchemeKind::SecDcp => cycles.is_nan() || cycles <= 0.0,
+            SchemeKind::Untangle => params.progress_interval_instrs == 0,
+            SchemeKind::Static | SchemeKind::Shared => false,
+        };
+        if bad {
+            return Err(UntangleError::InvalidConfig(format!(
+                "{kind} needs a positive assessment interval, got {cycles} cycles / {} instructions",
+                params.progress_interval_instrs
+            )));
+        }
+        Ok(())
+    }
+
+    /// The schedule of a `kind` domain in security `tier`: wall-clock
+    /// for Time and for public-tier SecDCP domains, progress-based for
+    /// Untangle, none for every other domain.
+    ///
+    /// # Errors
+    ///
+    /// As [`Schedule::check`].
+    pub fn new(
+        kind: SchemeKind,
+        tier: DomainTier,
+        params: &SchemeParams,
+    ) -> Result<Self, UntangleError> {
+        Self::check(kind, params)?;
+        let wall_clock =
+            kind == SchemeKind::Time || (kind == SchemeKind::SecDcp && tier == DomainTier::Public);
+        Ok(Schedule(if wall_clock {
+            Clock::Time(TimeSchedule::new(params.time_interval_cycles))
+        } else if kind == SchemeKind::Untangle {
+            Clock::Progress(ProgressSchedule::new(params.progress_interval_instrs))
+        } else {
+            Clock::Never
+        }))
+    }
+
+    /// The schedule's state, for a snapshot.
+    pub fn position(&self) -> SchedulePosition {
+        match &self.0 {
+            Clock::Never => SchedulePosition::Never,
+            Clock::Time(s) => SchedulePosition::NextAt(s.next_at),
+            Clock::Progress(s) => SchedulePosition::Counted(s.counted),
+        }
+    }
+
+    /// Moves the schedule to a captured [`Schedule::position`].
+    ///
+    /// # Errors
+    ///
+    /// [`UntangleError::InvalidConfig`] for a position of another kind
+    /// of schedule.
+    pub fn restore(&mut self, position: SchedulePosition) -> Result<(), UntangleError> {
+        match (&mut self.0, position) {
+            (Clock::Never, SchedulePosition::Never) => {}
+            (Clock::Time(s), SchedulePosition::NextAt(at)) => s.next_at = at,
+            (Clock::Progress(s), SchedulePosition::Counted(counted)) => s.counted = counted,
+            _ => {
+                return Err(UntangleError::InvalidConfig(format!(
+                    "schedule position {position:?} does not fit {:?}",
+                    self.position()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// The progress interval in counted instructions; `0` for a
+    /// schedule that is not progress-based.
+    pub fn progress_interval(&self) -> u64 {
+        match &self.0 {
+            Clock::Progress(s) => s.interval_instrs,
+            _ => 0,
+        }
+    }
+
+    /// Notifies the schedule that the domain clock reads `now` and
+    /// `progress` more instructions counted toward progress retired
+    /// (one retirement's [`untangle_trace::Instr::counts_toward_progress`]
+    /// in the batch driver, a telemetry report's count in serve).
+    /// Returns whether an assessment is due.
+    ///
+    /// The clock reflects secret-dependent execution timing, so it
+    /// enters the wall-clock schedule as `Secret` and is declassified at
+    /// the named Edge ③ site. Progress counts are public by the §6
+    /// annotation contract (secret_ctrl retirements do not count), so
+    /// Untangle's fail-closed guard stays silent.
+    pub fn on_progress(&mut self, now: f64, progress: u64) -> bool {
+        let event = match &mut self.0 {
+            Clock::Never => ScheduleEvent::Idle,
+            Clock::Time(s) => s.on_retire(Labeled::secret(now)),
+            Clock::Progress(s) => s.on_progress(Labeled::public(progress)),
+        };
+        event == ScheduleEvent::Assess
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,6 +482,112 @@ mod tests {
         // (= 0.5 ms at 2 GHz; the paper pairs 8 M with T_c = 1 ms by
         // counting macro-ops — the structural bound is what matters).
         assert!((s.guaranteed_cooldown_cycles(8) - 1_000_000.0).abs() < 1e-9);
+    }
+
+    fn params() -> SchemeParams {
+        SchemeParams {
+            time_interval_cycles: 100.0,
+            progress_interval_instrs: 3,
+            ..SchemeParams::scaled(0.01)
+        }
+    }
+
+    #[test]
+    fn schedules_follow_the_scheme_and_tier() {
+        let p = params();
+        let of = |kind, tier| Schedule::new(kind, tier, &p).unwrap().position();
+        let sensitive = DomainTier::Sensitive;
+        assert_eq!(
+            of(SchemeKind::Time, sensitive),
+            SchedulePosition::NextAt(100.0)
+        );
+        assert_eq!(
+            of(SchemeKind::Untangle, sensitive),
+            SchedulePosition::Counted(0)
+        );
+        assert_eq!(of(SchemeKind::Static, sensitive), SchedulePosition::Never);
+        assert_eq!(of(SchemeKind::Shared, sensitive), SchedulePosition::Never);
+        assert_eq!(of(SchemeKind::SecDcp, sensitive), SchedulePosition::Never);
+        assert_eq!(
+            of(SchemeKind::SecDcp, DomainTier::Public),
+            SchedulePosition::NextAt(100.0)
+        );
+        let never = Schedule::new(SchemeKind::Static, sensitive, &p).unwrap();
+        assert_eq!(never.progress_interval(), 0);
+        let progress = Schedule::new(SchemeKind::Untangle, sensitive, &p).unwrap();
+        assert_eq!(progress.progress_interval(), 3);
+    }
+
+    #[test]
+    fn check_rejects_intervals_a_schedule_cannot_run_on() {
+        for bad in [0.0, -1.0, f64::NAN] {
+            let p = SchemeParams {
+                time_interval_cycles: bad,
+                ..params()
+            };
+            for kind in [SchemeKind::Time, SchemeKind::SecDcp] {
+                assert!(
+                    matches!(
+                        Schedule::new(kind, DomainTier::Sensitive, &p),
+                        Err(UntangleError::InvalidConfig(_))
+                    ),
+                    "{kind} with {bad}"
+                );
+            }
+            assert!(Schedule::check(SchemeKind::Untangle, &p).is_ok());
+        }
+        let p = SchemeParams {
+            progress_interval_instrs: 0,
+            ..params()
+        };
+        assert!(matches!(
+            Schedule::check(SchemeKind::Untangle, &p),
+            Err(UntangleError::InvalidConfig(_))
+        ));
+        assert!(Schedule::check(SchemeKind::Static, &p).is_ok());
+    }
+
+    #[test]
+    fn schedule_labels_the_clock_secret_and_progress_public() {
+        let p = params();
+        let mut time = Schedule::new(SchemeKind::Time, DomainTier::Sensitive, &p).unwrap();
+        let mut progress = Schedule::new(SchemeKind::Untangle, DomainTier::Sensitive, &p).unwrap();
+        let (fires, log) = audit::capture(|| {
+            [
+                time.on_progress(50.0, 1),
+                time.on_progress(150.0, 0),
+                progress.on_progress(10.0, 1),
+                progress.on_progress(20.0, 0),
+                progress.on_progress(30.0, 2),
+            ]
+        });
+        assert_eq!(fires, [false, true, false, false, true]);
+        assert_eq!(log.declassified.len(), 1);
+        assert_eq!(log.declassified[0].site, sites::TIME_SCHEDULE_WALL_CLOCK);
+        assert_eq!(log.declassified[0].hits, 2);
+        assert!(log.violations.is_empty());
+    }
+
+    #[test]
+    fn restore_moves_a_fresh_schedule_to_a_captured_position() {
+        let p = params();
+        for kind in [SchemeKind::Time, SchemeKind::Untangle, SchemeKind::Static] {
+            let mut live = Schedule::new(kind, DomainTier::Sensitive, &p).unwrap();
+            let _ = live.on_progress(130.0, 2);
+            let mut restored = Schedule::new(kind, DomainTier::Sensitive, &p).unwrap();
+            restored.restore(live.position()).unwrap();
+            assert_eq!(restored.position(), live.position(), "{kind}");
+            assert_eq!(
+                restored.on_progress(260.0, 1),
+                live.on_progress(260.0, 1),
+                "{kind}"
+            );
+        }
+        let mut time = Schedule::new(SchemeKind::Time, DomainTier::Sensitive, &p).unwrap();
+        assert!(matches!(
+            time.restore(SchedulePosition::Counted(1)),
+            Err(UntangleError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! | Shared   | no partitions (insecure baseline)                        |
 
 use crate::heuristic::HeuristicConfig;
+use crate::leakage::AccountingMode;
 use untangle_info::dinkelbach::DinkelbachOptions;
 use untangle_info::rate_table::RateTableConfig;
 use untangle_info::{DelayDist, InfoError, RateTable, RmaxCache};
@@ -108,18 +109,10 @@ pub struct SchemeParams {
     pub heuristic: HeuristicConfig,
     /// Which utilization metric drives the heuristic.
     pub metric_kind: MetricKind,
-    /// Footprint-metric headroom: the target size is the smallest
-    /// supported size at least `headroom ×` the observed footprint.
-    pub footprint_headroom: f64,
     /// Footprint-metric window in retired public memory accesses
     /// (paper: `M_w` = 1 M). Must be large enough for the footprints of
     /// interest — the footprint can never exceed the window length.
     pub footprint_window: usize,
-    /// Covert-channel time resolution: how many rate-table time units
-    /// make up one cooldown period.
-    pub units_per_cooldown: u64,
-    /// Covert-channel input alphabet size per table entry.
-    pub channel_symbols: usize,
     /// Rate-table capacity: the maximum consecutive-Maintain credit.
     pub max_maintain_credit: usize,
     /// `true` = §5.3.4 Maintain-optimized accounting; `false` = the §9
@@ -130,6 +123,13 @@ pub struct SchemeParams {
 }
 
 impl SchemeParams {
+    /// Covert-channel time resolution: how many rate-table time units
+    /// make up one cooldown period.
+    pub const UNITS_PER_COOLDOWN: u64 = 16;
+
+    /// Covert-channel input alphabet size per rate-table entry.
+    pub const CHANNEL_SYMBOLS: usize = 8;
+
     /// Paper-ratio parameters at a linear time `scale` (1.0 = the paper
     /// configuration: 1 ms intervals, 8 M-instruction progress steps).
     ///
@@ -144,10 +144,7 @@ impl SchemeParams {
             delay_max_cycles: (2_000_000.0 * scale) as u64,
             heuristic: HeuristicConfig::default(),
             metric_kind: MetricKind::HitCurve,
-            footprint_headroom: 1.25,
             footprint_window: ((1_000_000.0 * scale) as usize).max(65_536),
-            units_per_cooldown: 16,
-            channel_symbols: 8,
             max_maintain_credit: 16,
             optimized_accounting: true,
             leakage_budget_bits: None,
@@ -166,6 +163,56 @@ impl SchemeParams {
         (PartitionSize::COUNT as f64).log2()
     }
 
+    /// The leakage accounting model a `kind` domain charges under:
+    /// `log2 |A|` per assessment for Time (§3.3), Untangle's `R_max`
+    /// rate table on a `commit_width`-wide core (§5.3.4), and nothing
+    /// for the others — Static and Shared never assess, and SecDCP's
+    /// tiered flows are permitted by its security model.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures from Untangle's rate computation.
+    pub fn accounting(
+        &self,
+        kind: SchemeKind,
+        commit_width: u32,
+    ) -> Result<AccountingMode, InfoError> {
+        Ok(match kind {
+            SchemeKind::Time => AccountingMode::PerAssessment {
+                bits: Self::conventional_bits_per_assessment(),
+            },
+            SchemeKind::Untangle => {
+                self.rate_accounting(self.build_rate_model(commit_width)?, commit_width)
+            }
+            SchemeKind::Static | SchemeKind::Shared | SchemeKind::SecDcp => {
+                AccountingMode::PerAssessment { bits: 0.0 }
+            }
+        })
+    }
+
+    /// Untangle's accounting model around an already-solved `R_max`
+    /// `table` — for drivers that solve several tables in one batch.
+    pub fn rate_accounting(&self, table: RateTable, commit_width: u32) -> AccountingMode {
+        let (cycles_per_unit, delay_units) = self.rate_units(commit_width);
+        AccountingMode::RateTable {
+            table,
+            cycles_per_unit,
+            cooldown_units: Self::UNITS_PER_COOLDOWN as f64,
+            delay_units: delay_units as f64,
+            optimized: self.optimized_accounting,
+        }
+    }
+
+    /// Cycles per rate-table time unit, and the width of the random
+    /// action delay δ in those units (at least one), on a
+    /// `commit_width`-wide core.
+    fn rate_units(&self, commit_width: u32) -> (f64, usize) {
+        let cycles_per_unit = self.cooldown_cycles(commit_width) / Self::UNITS_PER_COOLDOWN as f64;
+        let delay_units =
+            ((self.delay_max_cycles as f64 / cycles_per_unit).round() as usize).max(1);
+        (cycles_per_unit, delay_units)
+    }
+
     /// The rate-table configuration and solver options Untangle's
     /// accounting uses on a `commit_width`-wide core — exposed so
     /// experiment binaries can measure precompute behaviour on exactly
@@ -178,16 +225,13 @@ impl SchemeParams {
         &self,
         commit_width: u32,
     ) -> Result<(RateTableConfig, DinkelbachOptions), InfoError> {
-        let cooldown_cycles = self.cooldown_cycles(commit_width);
-        let cycles_per_unit = cooldown_cycles / self.units_per_cooldown as f64;
-        let delay_units =
-            ((self.delay_max_cycles as f64 / cycles_per_unit).round() as usize).max(1);
+        let (_, delay_units) = self.rate_units(commit_width);
         // Space the modeled sender's durations one full delay width
         // apart: a coarser alphabet the noise cannot blur, which is the
         // sender's strongest play and hence the conservative choice.
         let config = RateTableConfig {
-            cooldown: self.units_per_cooldown,
-            n_symbols: self.channel_symbols,
+            cooldown: Self::UNITS_PER_COOLDOWN,
+            n_symbols: Self::CHANNEL_SYMBOLS,
             step: (delay_units as u64).max(1),
             delay: DelayDist::uniform(delay_units)?,
             max_maintains: self.max_maintain_credit,
@@ -204,41 +248,19 @@ impl SchemeParams {
         Ok((config, options))
     }
 
-    /// Precomputes Untangle's `R_max` rate model for this configuration.
+    /// Precomputes Untangle's `R_max` table (certified upper bounds per
+    /// consecutive-Maintain count) for this configuration.
     ///
     /// # Errors
     ///
     /// Propagates solver failures from the rate computation.
-    pub fn build_rate_model(&self, commit_width: u32) -> Result<RateModel, InfoError> {
-        let cooldown_cycles = self.cooldown_cycles(commit_width);
-        let cycles_per_unit = cooldown_cycles / self.units_per_cooldown as f64;
-        let delay_units =
-            ((self.delay_max_cycles as f64 / cycles_per_unit).round() as usize).max(1);
+    pub fn build_rate_model(&self, commit_width: u32) -> Result<RateTable, InfoError> {
         let (config, options) = self.rate_table_spec(commit_width)?;
         // Route through the process-wide memo cache: every Untangle runner
         // builds this same table, so all but the first build are free.
         let (table, _stats) = RateTable::precompute_cached(&config, &options, RmaxCache::global())?;
-        Ok(RateModel {
-            table,
-            cycles_per_unit,
-            cooldown_units: self.units_per_cooldown as f64,
-            delay_units: delay_units as f64,
-        })
+        Ok(table)
     }
-}
-
-/// The precomputed covert-channel rate model the Untangle accountant
-/// charges from.
-#[derive(Debug, Clone)]
-pub struct RateModel {
-    /// Certified `R_max` upper bounds per consecutive-Maintain count.
-    pub table: RateTable,
-    /// Cycles per rate-table time unit.
-    pub cycles_per_unit: f64,
-    /// One cooldown period `T_c` in rate-table units.
-    pub cooldown_units: f64,
-    /// Width of the random action delay δ in rate-table units.
-    pub delay_units: f64,
 }
 
 impl Default for SchemeParams {
@@ -283,14 +305,40 @@ mod tests {
             delay_max_cycles: 4_000,
             ..SchemeParams::scaled(0.01)
         };
-        let model = p.build_rate_model(8).unwrap();
-        assert_eq!(model.table.len(), p.max_maintain_credit + 1);
-        assert!(model.table.rate(4) < model.table.rate(0));
+        let AccountingMode::RateTable {
+            table,
+            cycles_per_unit,
+            cooldown_units,
+            delay_units,
+            optimized,
+        } = p.accounting(SchemeKind::Untangle, 8).unwrap()
+        else {
+            panic!("Untangle charges from a rate table");
+        };
+        assert_eq!(table.len(), p.max_maintain_credit + 1);
+        assert!(table.rate(4) < table.rate(0));
         // 32k instrs / 8-wide = 4k cycles cooldown over 16 units.
-        assert!((model.cycles_per_unit - 250.0).abs() < 1e-9);
-        assert_eq!(model.cooldown_units, 16.0);
+        assert!((cycles_per_unit - 250.0).abs() < 1e-9);
+        assert_eq!(cooldown_units, 16.0);
         // Delay of 4k cycles at 250 cycles/unit = 16 units.
-        assert_eq!(model.delay_units, 16.0);
+        assert_eq!(delay_units, 16.0);
+        assert!(optimized);
+    }
+
+    #[test]
+    fn flat_schemes_charge_flat_rates() {
+        let p = SchemeParams::scaled(0.01);
+        let bits = |kind| match p.accounting(kind, 8).unwrap() {
+            AccountingMode::PerAssessment { bits } => bits,
+            AccountingMode::RateTable { .. } => panic!("{kind} charges a flat rate"),
+        };
+        assert_eq!(
+            bits(SchemeKind::Time).to_bits(),
+            SchemeParams::conventional_bits_per_assessment().to_bits()
+        );
+        for kind in [SchemeKind::Static, SchemeKind::Shared, SchemeKind::SecDcp] {
+            assert_eq!(bits(kind).to_bits(), 0.0f64.to_bits(), "{kind}");
+        }
     }
 
     #[test]

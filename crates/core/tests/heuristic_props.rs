@@ -3,12 +3,18 @@
 //! framework (the build is offline). Each case prints its sampled
 //! inputs on failure for reproduction.
 
-use untangle_core::heuristic::{decide, HeuristicConfig};
+use untangle_core::action::Action;
+use untangle_core::heuristic::{
+    decide_by_footprint, decide_global, HeuristicConfig, SHRINK_FREE_THRESHOLD,
+};
 use untangle_core::schedule::{ProgressSchedule, ScheduleEvent, TimeSchedule};
 use untangle_core::taint::Labeled;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::umon::HitCurve;
 use untangle_trace::synth::TraceRng;
+
+/// The simulated LLC both rules run against.
+const LLC: u64 = 16 << 20;
 
 fn curve(gen: &mut TraceRng) -> HitCurve {
     let mut c = [0u64; 9];
@@ -22,81 +28,92 @@ fn size(gen: &mut TraceRng) -> PartitionSize {
     PartitionSize::ALL[gen.below(9) as usize]
 }
 
+/// Both heuristics' decisions on one sampled input: the global hit-curve
+/// rule over 1–4 random curves (deciding for a random domain among
+/// them), and the footprint rule over a random footprint.
+fn decisions(
+    gen: &mut TraceRng,
+    fill: usize,
+    current: PartitionSize,
+    free: u64,
+) -> [(&'static str, Action); 2] {
+    let cfg = HeuristicConfig::default();
+    let curves: Vec<HitCurve> = (0..1 + gen.below(4)).map(|_| curve(gen)).collect();
+    let domain = gen.below(curves.len() as u64) as usize;
+    let footprint = gen.below(12 << 20);
+    [
+        (
+            "global",
+            decide_global(&curves, domain, fill, current, free, LLC, &cfg),
+        ),
+        (
+            "footprint",
+            decide_by_footprint(footprint, fill, current, free, &cfg),
+        ),
+    ]
+}
+
 #[test]
 fn decision_is_affordable_and_supported() {
     let mut gen = TraceRng::new(0xdec1);
-    let cfg = HeuristicConfig::default();
     for _ in 0..64 {
-        let c = curve(&mut gen);
         let fill = gen.below(5000) as usize;
         let current = size(&mut gen);
         let free = gen.below(32u64 << 20);
-        let a = decide(&c, fill, current, free, &cfg);
-        assert!(PartitionSize::ALL.contains(&a.size));
-        assert!(
-            a.size.bytes() <= current.bytes() + free,
-            "fill {fill} current {current:?} free {free}: decision must fit the budget"
-        );
+        for (rule, a) in decisions(&mut gen, fill, current, free) {
+            assert!(PartitionSize::ALL.contains(&a.size));
+            assert!(
+                a.size.bytes() <= current.bytes() + free,
+                "{rule}: fill {fill} current {current:?} free {free}: decision must fit the budget"
+            );
+        }
     }
 }
 
 #[test]
 fn empty_window_always_maintains() {
     let mut gen = TraceRng::new(0xe471);
-    let cfg = HeuristicConfig::default();
+    let fill = HeuristicConfig::default().min_window_fill.saturating_sub(1);
     for _ in 0..64 {
-        let c = curve(&mut gen);
         let current = size(&mut gen);
         let free = gen.below(32u64 << 20);
-        let a = decide(
-            &c,
-            cfg.min_window_fill.saturating_sub(1),
-            current,
-            free,
-            &cfg,
-        );
-        assert_eq!(a.size, current, "current {current:?} free {free}");
+        for (rule, a) in decisions(&mut gen, fill, current, free) {
+            assert_eq!(a.size, current, "{rule}: current {current:?} free {free}");
+        }
     }
 }
 
 #[test]
 fn plentiful_pool_never_shrinks() {
     let mut gen = TraceRng::new(0x9001);
-    let cfg = HeuristicConfig::default();
     for _ in 0..64 {
-        let c = curve(&mut gen);
         let fill = (100 + gen.below(4900)) as usize;
         let current = size(&mut gen);
-        let a = decide(
-            &c,
-            fill,
-            current,
-            cfg.shrink_free_threshold + (8 << 20),
-            &cfg,
-        );
-        assert!(
-            a.size >= current,
-            "fill {fill} current {current:?}: demand-driven shrinking only under scarcity"
-        );
+        let free = SHRINK_FREE_THRESHOLD + gen.below(8 << 20);
+        for (rule, a) in decisions(&mut gen, fill, current, free) {
+            assert!(
+                a.size >= current,
+                "{rule}: fill {fill} current {current:?}: demand-driven shrinking only under scarcity"
+            );
+        }
     }
 }
 
 #[test]
 fn shrinks_move_one_step_at_most() {
     let mut gen = TraceRng::new(0x51e4);
-    let cfg = HeuristicConfig::default();
     for _ in 0..64 {
-        let c = curve(&mut gen);
         let fill = (100 + gen.below(4900)) as usize;
         let current = size(&mut gen);
         let free = gen.below(1u64 << 20);
-        let a = decide(&c, fill, current, free, &cfg);
-        if a.size < current {
-            assert_eq!(
-                Some(a.size),
-                current.next_down(),
-                "fill {fill} current {current:?} free {free}"
-            );
+        for (rule, a) in decisions(&mut gen, fill, current, free) {
+            if a.size < current {
+                assert_eq!(
+                    Some(a.size),
+                    current.next_down(),
+                    "{rule}: fill {fill} current {current:?} free {free}"
+                );
+            }
         }
     }
 }

@@ -31,7 +31,7 @@
 //!
 //! # Fault injection
 //!
-//! Every durable write funnels through [`fault::before_write`], which
+//! Every durable write funnels through `fault::before_write`, which
 //! honors two `UNTANGLE_FAULT_INJECT` budgets:
 //!
 //! * `kill_at_write:N` — abort the process *before* the Nth durable

@@ -38,7 +38,7 @@
 
 use std::process::ExitCode;
 
-use untangle_analysis::certify::Certificate;
+use untangle_analysis::certify::{sites_json, Certificate};
 use untangle_obs::json::Json;
 use untangle_obs::{self as obs};
 use untangle_serve::synth::{synth_events, SynthConfig};
@@ -228,26 +228,13 @@ fn run() -> Result<(), String> {
 
     if args.certify {
         let cert = Certificate::from_audit("UNTANGLE-SERVE", &engine.audit_logs());
-        let sites = |records: &[untangle_analysis::certify::SiteRecord]| {
-            Json::Arr(
-                records
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("site", Json::Str(r.site.clone())),
-                            ("hits", Json::Int(r.hits as i64)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
         lines.push(
             Json::obj(vec![
                 ("type", Json::Str("certificate".to_string())),
                 ("scheme", Json::Str(cert.scheme.clone())),
                 ("verdict", Json::Str(cert.verdict.name().to_string())),
-                ("declassified_sites", sites(&cert.declassified_sites)),
-                ("violations", sites(&cert.violations)),
+                ("declassified_sites", sites_json(&cert.declassified_sites)),
+                ("violations", sites_json(&cert.violations)),
             ])
             .render(),
         );

@@ -1,9 +1,9 @@
 //! One admitted domain's decision pipeline.
 //!
-//! [`DomainDecider`] is the serve-side counterpart of one
-//! `DomainState` in the batch driver: schedule → budget gate →
-//! taint-guarded heuristic → [`DecisionCore::commit`], with the same
-//! [`DecisionCore`] step underneath. Decisions consult **only** this
+//! [`DomainDecider`] is the serve-side counterpart of one domain of the
+//! batch `Runner`: [`Schedule`] → [`DecisionCore::decide`] (the budget
+//! gate) → taint-guarded heuristic → [`DecisionCore::commit`], the same
+//! core parts the batch driver runs. Decisions consult **only** this
 //! domain's telemetry and its tenant quota — never another tenant's
 //! demand — so a domain's decision trace is a pure function of its own
 //! event subsequence. That per-domain purity is what makes traces
@@ -17,9 +17,10 @@ use untangle_core::heuristic::{self, HeuristicConfig};
 use untangle_core::leakage::{
     AccountantState, AccountingMode, BudgetGate, LeakageAccountant, LeakageReport,
 };
-use untangle_core::schedule::{ProgressSchedule, ScheduleEvent, TimeSchedule};
+use untangle_core::schedule::{Schedule, SchedulePosition};
+use untangle_core::scheme::DomainTier;
 use untangle_core::taint::{sites, Labeled};
-use untangle_core::{action::ResizingTrace, Label};
+use untangle_core::{action::ResizingTrace, Label, UntangleError};
 use untangle_obs as obs;
 use untangle_obs::json::Json;
 use untangle_sim::config::PartitionSize;
@@ -69,14 +70,9 @@ pub struct DomainDecider {
     /// snapshot can re-derive the admission-time inputs (tenant, quota,
     /// scheme, credit, budget override) through the proven wire format.
     admit: Admit,
-    tenant: String,
-    scheme: ServeScheme,
-    quota_bytes: u64,
     heuristic: HeuristicConfig,
-    footprint_headroom: f64,
+    schedule: Schedule,
     core: DecisionCore,
-    time_sched: Option<TimeSchedule>,
-    prog_sched: Option<ProgressSchedule>,
     decisions: u64,
     exhaustions: u64,
 }
@@ -84,44 +80,55 @@ pub struct DomainDecider {
 impl DomainDecider {
     /// Builds the pipeline for a freshly admitted domain.
     ///
-    /// The delay RNG is seeded exactly as the batch driver seeds domain
-    /// `d` of a run — `seed + domain`, mixed — so a 1-shard replay of a
-    /// Runner telemetry tap draws the identical δ sequence.
-    pub fn new(admit: &Admit, config: &ServeConfig, accounting: AccountingMode) -> Self {
+    /// The schedule and the delay RNG come from the same core
+    /// constructors the batch driver uses for domain `admit.domain`
+    /// under base seed `config.seed`, so a 1-shard replay of a Runner
+    /// telemetry tap fires and draws δ identically.
+    ///
+    /// # Errors
+    ///
+    /// A schedule interval the domain's scheme cannot run on
+    /// ([`Schedule::check`]; [`crate::ServeEngine::new`] rejects such a
+    /// configuration up front).
+    pub fn new(
+        admit: &Admit,
+        config: &ServeConfig,
+        accounting: AccountingMode,
+    ) -> Result<Self, UntangleError> {
         let params = &config.params;
-        Self {
+        Ok(Self {
             admit: admit.clone(),
-            tenant: admit.tenant.clone(),
-            scheme: admit.scheme,
-            quota_bytes: admit.quota_mb << 20,
             heuristic: params.heuristic,
-            footprint_headroom: params.footprint_headroom,
+            schedule: Self::schedule(admit, config)?,
             core: DecisionCore::new(
                 LeakageAccountant::new(
                     accounting,
                     admit.budget_bits.or(params.leakage_budget_bits),
                 ),
                 config.initial_partition,
-                TraceRng::new(config.seed.wrapping_add(admit.domain).wrapping_mul(0x9e37)),
                 params.delay_max_cycles,
+                config.seed,
+                admit.domain,
             ),
-            time_sched: (admit.scheme == ServeScheme::Time)
-                .then(|| TimeSchedule::new(params.time_interval_cycles)),
-            prog_sched: (admit.scheme == ServeScheme::Untangle)
-                .then(|| ProgressSchedule::new(params.progress_interval_instrs)),
             decisions: 0,
             exhaustions: 0,
-        }
+        })
+    }
+
+    /// The admitted scheme's schedule. Serve tenants are mutually
+    /// distrusting peers, so every domain is in the sensitive tier.
+    fn schedule(admit: &Admit, config: &ServeConfig) -> Result<Schedule, UntangleError> {
+        Schedule::new(admit.scheme.kind(), DomainTier::Sensitive, &config.params)
     }
 
     /// The owning tenant.
     pub fn tenant(&self) -> &str {
-        &self.tenant
+        &self.admit.tenant
     }
 
     /// The domain's scheme.
     pub fn scheme(&self) -> ServeScheme {
-        self.scheme
+        self.admit.scheme
     }
 
     /// Committed decisions so far.
@@ -212,11 +219,12 @@ impl DomainDecider {
                 Json::Arr(vec![Json::Num(applies_at), Json::Int(size.index() as i64)]),
             ));
         }
-        if let Some(sched) = &self.time_sched {
-            fields.push(("time_next_at", Json::Num(sched.next_at())));
-        }
-        if let Some(sched) = &self.prog_sched {
-            fields.push(("prog_counted", Json::Int(sched.progress() as i64)));
+        match self.schedule.position() {
+            SchedulePosition::Never => {}
+            SchedulePosition::NextAt(at) => fields.push(("time_next_at", Json::Num(at))),
+            SchedulePosition::Counted(counted) => {
+                fields.push(("prog_counted", Json::Int(counted as i64)));
+            }
         }
         Json::obj(fields)
     }
@@ -307,26 +315,18 @@ impl DomainDecider {
             .as_str()
             .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or_else(|| "field 'rng' is not a hex state".to_string())?;
-        let time_sched = (admit.scheme == ServeScheme::Time)
-            .then(|| {
-                num(snap, "time_next_at")
-                    .map(|at| TimeSchedule::restore(params.time_interval_cycles, at))
-            })
-            .transpose()?;
-        let prog_sched = (admit.scheme == ServeScheme::Untangle)
-            .then(|| {
-                count(snap, "prog_counted")
-                    .map(|c| ProgressSchedule::restore(params.progress_interval_instrs, c))
-            })
-            .transpose()?;
+        let mut schedule = Self::schedule(admit, config).map_err(|e| e.to_string())?;
+        let position = match schedule.position() {
+            SchedulePosition::Never => SchedulePosition::Never,
+            SchedulePosition::NextAt(_) => SchedulePosition::NextAt(num(snap, "time_next_at")?),
+            SchedulePosition::Counted(_) => SchedulePosition::Counted(count(snap, "prog_counted")?),
+        };
+        schedule.restore(position).map_err(|e| e.to_string())?;
 
         Ok(Self {
             admit: admit.clone(),
-            tenant: admit.tenant.clone(),
-            scheme: admit.scheme,
-            quota_bytes: admit.quota_mb << 20,
             heuristic: params.heuristic,
-            footprint_headroom: params.footprint_headroom,
+            schedule,
             core: DecisionCore::from_parts(
                 LeakageAccountant::from_state(accounting, budget, state),
                 trace,
@@ -335,8 +335,6 @@ impl DomainDecider {
                 TraceRng::from_state(rng),
                 params.delay_max_cycles,
             ),
-            time_sched,
-            prog_sched,
             decisions: count(snap, "decisions")?,
             exhaustions: count(snap, "exhaustions")?,
         })
@@ -359,74 +357,39 @@ impl DomainDecider {
         // the batch driver's.
         let _ = self.core.take_due(now);
 
-        let assess = if let Some(sched) = self.time_sched.as_mut() {
-            // Client-reported cycle counts are wall-clock time:
-            // secret-dependent by Edge ③ whatever the client claims, so
-            // the time schedule declassifies them at its named site
-            // exactly as in the batch driver.
-            sched.on_retire(Labeled::secret(now)) == ScheduleEvent::Assess
-        } else if let Some(sched) = self.prog_sched.as_mut() {
-            // Progress counts are public by the §6 annotation contract
-            // (secret_ctrl retirements are excluded client-side).
-            sched.on_progress(Labeled::public(t.progress)) == ScheduleEvent::Assess
-        } else {
-            false
-        };
-        if !assess {
+        // Client-reported cycle counts are wall-clock time: secret-
+        // dependent by Edge ③ whatever the client claims. The schedule
+        // labels them — and the public progress counts — exactly as in
+        // the batch driver.
+        if !self.schedule.on_progress(now, t.progress) {
             return Outcome::default();
         }
 
-        let current = self.core.logical_size();
+        let (gate, action) = self
+            .core
+            .decide(now, |current| Some(self.choose(t, current)));
         let mut first_exhaustion = false;
-        let action = match self.core.gate(now) {
-            gate @ (BudgetGate::Skip | BudgetGate::MaintainOnly) => {
-                // The tenant's leakage budget bars this payload from
-                // the decision path: taint it and run it through the
-                // mandatory-public guard, which must refuse. Fail-closed
-                // is thus *enforced by the taint layer* — the refusal is
-                // recorded as an audit violation at a named site — not
-                // by a bypassable branch.
-                let barred = Labeled::new(self.payload(t), Label::Secret);
-                let refused = barred.require_public(sites::TENANT_BUDGET_EXHAUSTED);
-                self.exhaustions += 1;
-                first_exhaustion = self.exhaustions == 1;
-                obs::counter_add("serve.budget_exhaustions", 1);
-                match (gate, refused) {
-                    // Worst-case accounting charges every assessment, so
-                    // an exhausted budget skips recording entirely.
-                    (BudgetGate::Skip, _) => {
-                        return Outcome {
-                            decision: None,
-                            first_exhaustion,
-                        }
-                    }
-                    // Maintain-optimized accounting still records the
-                    // (invisible, unpaid) forced Maintain.
-                    _ => Action::set_size(current),
-                }
-            }
-            BudgetGate::Proceed => {
-                let label = if t.tainted {
-                    Label::Secret
-                } else {
-                    Label::Public
-                };
-                let labeled = Labeled::new(self.payload(t), label);
-                let payload = match self.scheme {
-                    // The conventional scheme consumes its (timing-
-                    // entangled) metric by declassifying it — the same
-                    // audited edge the batch driver crosses.
-                    ServeScheme::Time => Some(labeled.declassify(sites::CONVENTIONAL_METRIC)),
-                    // Untangle's ingest is public-only: tainted
-                    // utilization is refused fail-closed and the
-                    // assessment degrades to a Maintain.
-                    _ => labeled.require_public(sites::SERVE_TELEMETRY_INPUT).ok(),
-                };
-                match payload {
-                    Some(p) => self.choose(p, current),
-                    None => Action::set_size(current),
-                }
-            }
+        if gate != BudgetGate::Proceed {
+            // The tenant's leakage budget bars this payload from the
+            // decision path: taint it and run it through the
+            // mandatory-public guard, which must refuse. Fail-closed is
+            // thus *enforced by the taint layer* — the refusal is
+            // recorded as an audit violation at a named site — not by a
+            // bypassable branch. Worst-case accounting then skips the
+            // assessment; Maintain-optimized accounting records the
+            // (invisible, unpaid) forced Maintain.
+            let barred = Labeled::new(self.payload(t), Label::Secret);
+            let refused = barred.require_public(sites::TENANT_BUDGET_EXHAUSTED);
+            debug_assert!(refused.is_err(), "the guard refuses secret payloads");
+            self.exhaustions += 1;
+            first_exhaustion = self.exhaustions == 1;
+            obs::counter_add("serve.budget_exhaustions", 1);
+        }
+        let Some(action) = action else {
+            return Outcome {
+                decision: None,
+                first_exhaustion,
+            };
         };
 
         let committed = self.core.commit(action, now);
@@ -449,12 +412,33 @@ impl DomainDecider {
         (t.curve, t.footprint, t.fill)
     }
 
-    /// The action heuristic over this domain's payload alone, with the
+    /// The action for an assessment the budget lets proceed: the
+    /// heuristic over this domain's labeled payload alone, with the
     /// tenant quota as the capacity horizon (the batch driver's LLC
     /// size, per tenant). Free capacity is the quota minus the logical
     /// size — decided-but-pending actions already own their bytes.
-    fn choose(&self, (curve, footprint, fill): Payload, current: PartitionSize) -> Action {
-        let free = self.quota_bytes.saturating_sub(current.bytes());
+    fn choose(&self, t: &Telemetry, current: PartitionSize) -> Action {
+        let label = if t.tainted {
+            Label::Secret
+        } else {
+            Label::Public
+        };
+        let labeled = Labeled::new(self.payload(t), label);
+        let payload = match self.admit.scheme {
+            // The conventional scheme consumes its (timing-entangled)
+            // metric by declassifying it — the same audited edge the
+            // batch driver crosses.
+            ServeScheme::Time => Some(labeled.declassify(sites::CONVENTIONAL_METRIC)),
+            // Untangle's ingest is public-only: tainted utilization is
+            // refused fail-closed and the assessment degrades to a
+            // Maintain.
+            _ => labeled.require_public(sites::SERVE_TELEMETRY_INPUT).ok(),
+        };
+        let Some((curve, footprint, fill)) = payload else {
+            return Action::set_size(current);
+        };
+        let quota_bytes = self.admit.quota_mb << 20;
+        let free = quota_bytes.saturating_sub(current.bytes());
         if let Some(curve) = curve {
             heuristic::decide_global(
                 &[curve],
@@ -462,18 +446,11 @@ impl DomainDecider {
                 fill,
                 current,
                 free,
-                self.quota_bytes,
+                quota_bytes,
                 &self.heuristic,
             )
         } else if let Some(bytes) = footprint {
-            heuristic::decide_by_footprint(
-                bytes,
-                fill,
-                current,
-                free,
-                self.footprint_headroom,
-                &self.heuristic,
-            )
+            heuristic::decide_by_footprint(bytes, fill, current, free, &self.heuristic)
         } else {
             // No utilization payload at the assessment point: nothing
             // justifies a visible action.
@@ -515,7 +492,7 @@ fn size_from(value: &Json) -> Result<PartitionSize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use untangle_core::scheme::SchemeParams;
+    use untangle_core::scheme::SchemeKind;
     use untangle_core::taint::audit;
 
     fn admit(scheme: ServeScheme, budget: Option<f64>) -> Admit {
@@ -549,21 +526,33 @@ mod tests {
         }
     }
 
+    /// The accounting model of a `kind` domain under [`config`].
+    fn accounting(kind: SchemeKind) -> AccountingMode {
+        let cfg = config();
+        cfg.params
+            .accounting(kind, cfg.commit_width)
+            .expect("flat models solve nothing")
+    }
+
+    /// `log2 |A|` bits per assessment.
     fn conventional() -> AccountingMode {
-        AccountingMode::PerAssessment {
-            bits: SchemeParams::conventional_bits_per_assessment(),
-        }
+        accounting(SchemeKind::Time)
+    }
+
+    /// No charge at all.
+    fn free() -> AccountingMode {
+        accounting(SchemeKind::Static)
+    }
+
+    fn decider(admit: &Admit, accounting: AccountingMode) -> DomainDecider {
+        DomainDecider::new(admit, &config(), accounting).expect("valid config")
     }
 
     #[test]
     fn untangle_domain_assesses_on_the_progress_interval() {
         let cfg = config();
         let interval = cfg.params.progress_interval_instrs;
-        let mut d = DomainDecider::new(
-            &admit(ServeScheme::Untangle, None),
-            &cfg,
-            AccountingMode::PerAssessment { bits: 0.0 },
-        );
+        let mut d = decider(&admit(ServeScheme::Untangle, None), free());
         // Half an interval: idle. The second half completes it.
         let out = d.on_telemetry(&telemetry(1_000.0, interval / 2, 9_000));
         assert_eq!(out.decision, None);
@@ -579,12 +568,7 @@ mod tests {
 
     #[test]
     fn static_domains_never_decide() {
-        let cfg = config();
-        let mut d = DomainDecider::new(
-            &admit(ServeScheme::Static, None),
-            &cfg,
-            AccountingMode::PerAssessment { bits: 0.0 },
-        );
+        let mut d = decider(&admit(ServeScheme::Static, None), free());
         for i in 1..20u64 {
             let out = d.on_telemetry(&telemetry(i as f64 * 100_000.0, 1 << 20, 9_000));
             assert_eq!(out, Outcome::default());
@@ -596,11 +580,7 @@ mod tests {
     fn tainted_telemetry_fails_closed_to_maintain() {
         let cfg = config();
         let interval = cfg.params.progress_interval_instrs;
-        let mut d = DomainDecider::new(
-            &admit(ServeScheme::Untangle, None),
-            &cfg,
-            AccountingMode::PerAssessment { bits: 0.0 },
-        );
+        let mut d = decider(&admit(ServeScheme::Untangle, None), free());
         let mut t = telemetry(5_000.0, interval, 9_000);
         t.tainted = true;
         let (out, log) = audit::capture(|| d.on_telemetry(&t));
@@ -618,11 +598,7 @@ mod tests {
         let cfg = config();
         let interval = cfg.params.progress_interval_instrs;
         // log2(9) ≈ 3.17 bits per assessment; a 4-bit budget allows one.
-        let mut d = DomainDecider::new(
-            &admit(ServeScheme::Untangle, Some(4.0)),
-            &cfg,
-            conventional(),
-        );
+        let mut d = decider(&admit(ServeScheme::Untangle, Some(4.0)), conventional());
         let ((), log) = audit::capture(|| {
             for i in 1..=6u64 {
                 let _ = d.on_telemetry(&telemetry(i as f64 * 10_000.0, interval, 9_000));
@@ -647,7 +623,7 @@ mod tests {
     fn time_domain_declassifies_clock_and_metric() {
         let cfg = config();
         let interval = cfg.params.time_interval_cycles;
-        let mut d = DomainDecider::new(&admit(ServeScheme::Time, None), &cfg, conventional());
+        let mut d = decider(&admit(ServeScheme::Time, None), conventional());
         // A conventional client's all-seeing metric is secret-influenced,
         // so its payloads arrive tainted; the Time scheme consumes them
         // anyway by declassifying at the audited site.
@@ -667,7 +643,7 @@ mod tests {
         let interval = cfg.params.progress_interval_instrs;
         let a = admit(ServeScheme::Untangle, Some(40.0));
         let accounting = conventional();
-        let mut live = DomainDecider::new(&a, &cfg, accounting.clone());
+        let mut live = decider(&a, accounting.clone());
         // A prefix that leaves rich state behind: trace entries, a
         // pending delayed action, advanced RNG, partial progress.
         for i in 1..=5u64 {
@@ -699,7 +675,7 @@ mod tests {
     fn restore_rejects_malformed_snapshots() {
         let cfg = config();
         let a = admit(ServeScheme::Untangle, None);
-        let snap = DomainDecider::new(&a, &cfg, conventional()).snapshot_json();
+        let snap = decider(&a, conventional()).snapshot_json();
         for key in ["rng", "trace", "acct", "decisions", "prog_counted"] {
             let Json::Obj(fields) = &snap else {
                 panic!("snapshot is an object")
@@ -715,11 +691,7 @@ mod tests {
     fn footprint_payload_drives_the_footprint_rule() {
         let cfg = config();
         let interval = cfg.params.progress_interval_instrs;
-        let mut d = DomainDecider::new(
-            &admit(ServeScheme::Untangle, None),
-            &cfg,
-            AccountingMode::PerAssessment { bits: 0.0 },
-        );
+        let mut d = decider(&admit(ServeScheme::Untangle, None), free());
         let t = Telemetry {
             domain: 1,
             cycles: 9_000.0,

@@ -6,7 +6,7 @@
 //!
 //! A domain is assigned to shard `fnv1a(domain) % shards` (FNV-1a over
 //! the id's little-endian bytes, [`untangle_durable::fnv1a`]) for its whole
-//! lifetime, and each [`Shard`] exclusively owns the mutable state of
+//! lifetime, and each shard exclusively owns the mutable state of
 //! its domains — there is no cross-shard mutable data, so the fan-out
 //! (one `std::thread` per shard) needs no locks. Because every
 //! [`DomainDecider`] consults only its own domain's events, a domain's
@@ -20,7 +20,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use untangle_core::action::ResizingTrace;
 use untangle_core::leakage::{AccountingMode, LeakageReport};
-use untangle_core::scheme::SchemeParams;
+use untangle_core::runner::RunnerConfig;
+use untangle_core::schedule::Schedule;
+use untangle_core::scheme::{SchemeKind, SchemeParams};
 use untangle_core::taint::audit::{self, AuditLog, SiteCount};
 use untangle_core::taint::sites;
 use untangle_core::UntangleError;
@@ -59,53 +61,36 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A deliberately small configuration for unit tests and doctests,
-    /// parameter-identical to `RunnerConfig::test_scale` so serve
-    /// replays of batch telemetry are bit-comparable.
-    pub fn test_scale() -> Self {
-        let umon_window = 2048;
-        let mut params = SchemeParams {
-            time_interval_cycles: 8_000.0,
-            progress_interval_instrs: 16_000,
-            delay_max_cycles: 2_000,
-            max_maintain_credit: 8,
-            ..SchemeParams::scaled(0.01)
-        };
-        params.heuristic.min_window_fill = umon_window / 2;
+    /// The configuration whose domains decide like `runner`'s: the same
+    /// scheme parameters, core width, starting size and delay-RNG base
+    /// seed, on one shard with audit capture on.
+    pub fn mirroring(runner: &RunnerConfig) -> Self {
         Self {
-            params,
-            commit_width: 8,
-            initial_partition: PartitionSize::MB2,
-            seed: 42,
+            params: runner.params.clone(),
+            commit_width: runner.machine.timing.commit_width,
+            initial_partition: runner.initial_partition,
+            seed: runner.seed,
             shards: 1,
             capture_audit: true,
         }
     }
 
-    /// Paper-ratio configuration at a linear time `scale`, mirroring
-    /// `RunnerConfig::eval_scale`.
+    /// A deliberately small configuration for unit tests and doctests:
+    /// [`RunnerConfig::test_scale`] mirrored, so serve replays of batch
+    /// telemetry are bit-comparable.
+    pub fn test_scale() -> Self {
+        Self::mirroring(&RunnerConfig::test_scale(SchemeKind::Untangle, 1))
+    }
+
+    /// Paper-ratio configuration at a linear time `scale`:
+    /// [`RunnerConfig::eval_scale`] mirrored.
     ///
     /// # Errors
     ///
-    /// Returns [`UntangleError::InvalidConfig`] unless `0 < scale <= 1`
-    /// (NaN included).
+    /// Exactly the scales [`RunnerConfig::eval_scale`] rejects, with
+    /// its [`UntangleError::InvalidConfig`].
     pub fn eval_scale(scale: f64) -> Result<Self, UntangleError> {
-        if !(scale > 0.0 && scale <= 1.0) {
-            return Err(UntangleError::InvalidConfig(format!(
-                "serve scale must be in (0, 1], got {scale}"
-            )));
-        }
-        let umon_window = ((1_000_000.0 * scale) as usize).max(1024);
-        let mut params = SchemeParams::scaled(scale);
-        params.heuristic.min_window_fill = umon_window / 2;
-        Ok(Self {
-            params,
-            commit_width: 8,
-            initial_partition: PartitionSize::MB2,
-            seed: 42,
-            shards: 1,
-            capture_audit: true,
-        })
+        RunnerConfig::eval_scale(SchemeKind::Untangle, scale).map(|runner| Self::mirroring(&runner))
     }
 }
 
@@ -141,12 +126,18 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`UntangleError::InvalidConfig`] for a zero shard count.
+    /// Returns [`UntangleError::InvalidConfig`] for a zero shard count
+    /// or a schedule interval a scheme cannot run on
+    /// ([`Schedule::check`]).
     pub fn new(config: ServeConfig) -> Result<Self, UntangleError> {
         if config.shards == 0 {
             return Err(UntangleError::InvalidConfig(
                 "serve engine needs at least one shard".to_string(),
             ));
+        }
+        // Any scheme's domain may be admitted later.
+        for kind in SchemeKind::ALL {
+            Schedule::check(kind, &config.params)?;
         }
         let shards = (0..config.shards).map(|_| Shard::default()).collect();
         Ok(Self {
@@ -284,14 +275,9 @@ impl ServeEngine {
                 _ => return Err(bad(format!("domain {i}: 'admit' is not an admit event"))),
             }
         }
-        let credits: Vec<usize> = admits
-            .iter()
-            .filter(|a| a.scheme == ServeScheme::Untangle)
-            .map(|a| engine.credit_of(a))
-            .collect();
-        engine.resolve_credits(credits)?;
+        engine.resolve_models(admits.iter())?;
         for (admit, d) in admits.iter().zip(domain_snaps) {
-            let accounting = Self::accounting_of_static(&engine.config, &engine.models, admit)
+            let accounting = Self::accounting_of(&engine.config, &engine.models, admit)
                 .ok_or_else(|| bad(format!("domain {}: no accounting model", admit.domain)))?;
             let decider = DomainDecider::restore(admit, &engine.config, accounting, d)
                 .map_err(|e| bad(format!("domain {}: {e}", admit.domain)))?;
@@ -356,7 +342,10 @@ impl ServeEngine {
     /// Returns the first `R_max` precompute failure (Untangle admits
     /// only; the solve happens before any event is applied).
     pub fn ingest(&mut self, events: &[Event]) -> Result<Vec<String>, UntangleError> {
-        self.resolve_models(events)?;
+        self.resolve_models(events.iter().filter_map(|e| match e {
+            Event::Admit(a) => Some(a),
+            _ => None,
+        }))?;
 
         // Route: one queue per shard, each event tagged with its global
         // ingest index.
@@ -406,27 +395,21 @@ impl ServeEngine {
         Ok(out)
     }
 
-    /// Ensures an accounting model exists for every Untangle Maintain
-    /// credit admitted in `events`.
-    fn resolve_models(&mut self, events: &[Event]) -> Result<(), UntangleError> {
-        let credits: Vec<usize> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Admit(a) if a.scheme == ServeScheme::Untangle => Some(self.credit_of(a)),
-                _ => None,
-            })
+    /// Ensures an accounting model exists for the Maintain credit of
+    /// every Untangle domain in `admits`, solving the missing rate
+    /// tables in one batch through the process-wide cache (a smaller
+    /// credit's table is answered from the leading entries of a larger
+    /// one). Ingest calls this with a batch's admits, snapshot restore
+    /// with the restored domains'.
+    fn resolve_models<'a>(
+        &mut self,
+        admits: impl Iterator<Item = &'a Admit>,
+    ) -> Result<(), UntangleError> {
+        let mut missing: Vec<usize> = admits
+            .filter(|a| a.scheme == ServeScheme::Untangle)
+            .map(|a| credit_of(&self.config, a))
+            .filter(|credit| !self.models.contains_key(credit))
             .collect();
-        self.resolve_credits(credits)
-    }
-
-    /// Ensures an accounting model exists for every credit in
-    /// `credits`, solving the missing rate tables through the
-    /// process-wide cache (a smaller credit's table is answered from
-    /// the leading entries of a larger one). Snapshot
-    /// restore calls this with the credits of the restored domains;
-    /// ingest calls it with the credits of a batch's admits.
-    fn resolve_credits(&mut self, mut missing: Vec<usize>) -> Result<(), UntangleError> {
-        missing.retain(|credit| !self.models.contains_key(credit));
         missing.sort_unstable();
         missing.dedup();
         if missing.is_empty() {
@@ -434,10 +417,6 @@ impl ServeEngine {
         }
 
         let params = &self.config.params;
-        let cycles_per_unit =
-            params.cooldown_cycles(self.config.commit_width) / params.units_per_cooldown as f64;
-        let delay_units =
-            ((params.delay_max_cycles as f64 / cycles_per_unit).round() as usize).max(1) as f64;
         let mut specs = Vec::with_capacity(missing.len());
         let mut options = None;
         for &credit in &missing {
@@ -455,24 +434,10 @@ impl ServeEngine {
         for (credit, (table, _stats)) in missing.into_iter().zip(tables) {
             self.models.insert(
                 credit,
-                AccountingMode::RateTable {
-                    table,
-                    cycles_per_unit,
-                    cooldown_units: params.units_per_cooldown as f64,
-                    delay_units,
-                    optimized: params.optimized_accounting,
-                },
+                params.rate_accounting(table, self.config.commit_width),
             );
         }
         Ok(())
-    }
-
-    /// The Maintain credit an admit resolves to (its own, or the
-    /// service default).
-    fn credit_of(&self, admit: &Admit) -> usize {
-        admit
-            .credit
-            .unwrap_or(self.config.params.max_maintain_credit)
     }
 
     /// Drains every shard's queue: one scoped thread per shard when there
@@ -538,15 +503,20 @@ impl ServeEngine {
                         ));
                         continue;
                     }
-                    let Some(accounting) = Self::accounting_of_static(config, models, &admit)
-                    else {
+                    let Some(accounting) = Self::accounting_of(config, models, &admit) else {
                         lines.push(error_line(
                             idx,
                             &format!("no accounting model for domain {}", admit.domain),
                         ));
                         continue;
                     };
-                    let decider = DomainDecider::new(&admit, config, accounting);
+                    let decider = match DomainDecider::new(&admit, config, accounting) {
+                        Ok(decider) => decider,
+                        Err(e) => {
+                            lines.push(error_line(idx, &format!("domain {}: {e}", admit.domain)));
+                            continue;
+                        }
+                    };
                     shard.domains.insert(admit.domain, decider);
                     obs::counter_add("serve.admitted", 1);
                     lines.push((
@@ -635,24 +605,29 @@ impl ServeEngine {
     }
 
     /// The accounting model for an admitted domain, resolvable from the
-    /// shared read-only references a shard worker holds. `None` only if
-    /// an Untangle credit was never resolved, which `ingest` prevents.
-    fn accounting_of_static(
+    /// shared read-only references a shard worker holds: an Untangle
+    /// domain charges from its credit's pre-solved rate table, the
+    /// others from their scheme's flat model. `None` only if an
+    /// Untangle credit was never resolved, which `ingest` prevents.
+    fn accounting_of(
         config: &ServeConfig,
         models: &HashMap<usize, AccountingMode>,
         admit: &Admit,
     ) -> Option<AccountingMode> {
         match admit.scheme {
-            ServeScheme::Untangle => {
-                let credit = admit.credit.unwrap_or(config.params.max_maintain_credit);
-                models.get(&credit).cloned()
-            }
-            ServeScheme::Time => Some(AccountingMode::PerAssessment {
-                bits: SchemeParams::conventional_bits_per_assessment(),
-            }),
-            ServeScheme::Static => Some(AccountingMode::PerAssessment { bits: 0.0 }),
+            ServeScheme::Untangle => models.get(&credit_of(config, admit)).cloned(),
+            scheme => config
+                .params
+                .accounting(scheme.kind(), config.commit_width)
+                .ok(),
         }
     }
+}
+
+/// The Maintain credit an admit resolves to (its own, or the service
+/// default).
+fn credit_of(config: &ServeConfig, admit: &Admit) -> usize {
+    admit.credit.unwrap_or(config.params.max_maintain_credit)
 }
 
 /// Renders a `serve_error` output line for the event at `idx`.
@@ -995,6 +970,46 @@ mod tests {
                     && !l.contains("\"action\":\"shrink\"")),
             "no visible action may follow a fail-closed charge, got {lines:?}"
         );
+    }
+
+    #[test]
+    fn eval_scale_accepts_exactly_the_batch_scales() {
+        for scale in [1e-7, 1.2e-7, 0.0, -0.5, 1.5, f64::NAN] {
+            assert!(
+                matches!(
+                    ServeConfig::eval_scale(scale),
+                    Err(UntangleError::InvalidConfig(_))
+                ),
+                "scale {scale}"
+            );
+        }
+        for scale in [1.3e-7, 0.001, 1.0] {
+            let config = ServeConfig::eval_scale(scale).expect("batch accepts it");
+            let batch = RunnerConfig::eval_scale(SchemeKind::Untangle, scale).expect("valid");
+            assert_eq!(config.params, batch.params);
+            assert!(ServeEngine::new(config).is_ok(), "scale {scale}");
+        }
+    }
+
+    #[test]
+    fn rejects_intervals_a_schedule_cannot_run_on() {
+        for bad in [0.0, -1.0, f64::NAN] {
+            let mut config = ServeConfig::test_scale();
+            config.params.time_interval_cycles = bad;
+            assert!(
+                matches!(
+                    ServeEngine::new(config),
+                    Err(UntangleError::InvalidConfig(_))
+                ),
+                "time interval {bad}"
+            );
+        }
+        let mut config = ServeConfig::test_scale();
+        config.params.progress_interval_instrs = 0;
+        assert!(matches!(
+            ServeEngine::new(config),
+            Err(UntangleError::InvalidConfig(_))
+        ));
     }
 
     #[test]

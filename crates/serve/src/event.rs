@@ -13,6 +13,7 @@
 //! render → parse cycle reproduces every cycle count bit for bit, which
 //! the cross-shard determinism guarantee leans on.
 
+use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
 use untangle_info::rate_table::RateTableConfig;
 use untangle_obs::json::Json;
@@ -35,6 +36,15 @@ pub enum ServeScheme {
 }
 
 impl ServeScheme {
+    /// The batch scheme a domain of this scheme decides like.
+    pub const fn kind(self) -> SchemeKind {
+        match self {
+            ServeScheme::Static => SchemeKind::Static,
+            ServeScheme::Time => SchemeKind::Time,
+            ServeScheme::Untangle => SchemeKind::Untangle,
+        }
+    }
+
     /// Stable lowercase wire name.
     pub const fn name(self) -> &'static str {
         match self {

@@ -172,12 +172,8 @@ pub fn tap_replay(
             rc.params.metric_kind = MetricKind::Footprint;
         }
         config.get_or_insert_with(|| ServeConfig {
-            params: rc.params.clone(),
-            commit_width: rc.machine.timing.commit_width,
-            initial_partition: rc.initial_partition,
             seed: base_seed,
-            shards: 1,
-            capture_audit: true,
+            ..ServeConfig::mirroring(&rc)
         });
         events.push(Event::Admit(Admit {
             domain: i as u64,

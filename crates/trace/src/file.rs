@@ -17,7 +17,7 @@
 //! memory access — blocks are self-contained (the delta chain restarts
 //! at every block) so a reader can decode any block in isolation,
 //! which slice replay depends on. Bodies are squeezed by the
-//! hand-rolled [`pack`](crate::pack) compressor.
+//! hand-rolled [`pack`] compressor.
 //!
 //! # Crash-consistent generation
 //!

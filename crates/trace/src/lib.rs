@@ -16,7 +16,7 @@
 //!   DESIGN.md, "Substitutions").
 //! * [`annotate`] — §7's coarse (page-table-bit style) annotation
 //!   transport: region-based annotation of legacy traces.
-//! * [`file`] — the on-disk trace format: WAL-framed, checksummed,
+//! * [`file`](mod@file) — the on-disk trace format: WAL-framed, checksummed,
 //!   block-compressed, with annotations in-band; [`file::TraceWriter`]
 //!   journals generation durably (crash-resumable, byte-identical) and
 //!   [`file::FileSource`] streams finished traces block by block.

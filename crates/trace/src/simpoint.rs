@@ -4,7 +4,7 @@
 //! Given the per-interval region-touch vectors from
 //! [`bbv`](crate::bbv), [`choose_slices`] clusters the intervals with a
 //! seeded, bit-stable k-means (k-means++ seeding from
-//! [`TraceRng`](crate::synth::TraceRng), fixed iteration order, ties
+//! [`TraceRng`], fixed iteration order, ties
 //! broken toward lower indices — no dependence on platform float
 //! quirks, hash order, or wall clock) and returns one representative
 //! [`Slice`] per cluster, weighted by cluster population. Replaying the
