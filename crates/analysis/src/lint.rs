@@ -8,12 +8,13 @@
 //!   in non-test code of `core`, `info`, and `analysis`: every fallible
 //!   path in the framework and its substrates must flow through
 //!   `UntangleError`/`InfoError` so a sweep records faults instead of
-//!   dying. The rule also covers the experiment binaries
-//!   (`crates/bench/src/bin`), which must report failures through a
-//!   diagnostic and a nonzero exit status — the contract the
-//!   crash-recovery harnesses and CI observe. There the rule also
-//!   flags `assert!`/`assert_eq!`/`assert_ne!` (a failed check must
-//!   exit 1, not unwind); `debug_assert!` stays legal.
+//!   dying. The rule also covers the experiment binaries and the serve
+//!   daemon (`crates/bench/src/bin`, `crates/serve/src/bin`), which
+//!   must report failures through a diagnostic and a nonzero exit
+//!   status — the contract the crash-recovery harnesses and CI
+//!   observe. There the rule also flags `assert!`/`assert_eq!`/
+//!   `assert_ne!` (a failed check must exit 1, not unwind);
+//!   `debug_assert!` stays legal.
 //! * [`Rule::FloatEq`] — no `==`/`!=` against float literals and no
 //!   `assert_eq!`/`assert_ne!` spanning float literals: exactness
 //!   claims must be explicit (`to_bits`) or toleranced.
@@ -190,11 +191,12 @@ pub struct FileScope {
     /// Under the bench crate, whose harness legitimately measures wall
     /// time.
     pub bench_crate: bool,
-    /// Under `crates/bench/src/bin` — the experiment drivers. They are
-    /// not framework code, but they are the artifacts CI and users run,
-    /// so a panic there turns a reportable failure into a backtrace and
-    /// a meaningless exit status; they share the panic-free rule.
-    pub bench_bin: bool,
+    /// Under `crates/bench/src/bin` or `crates/serve/src/bin` — the
+    /// experiment drivers and the serve daemon. They are not framework
+    /// code, but they are the artifacts CI and users run, so a panic
+    /// there turns a reportable failure into a backtrace and a
+    /// meaningless exit status; they share the panic-free rule.
+    pub driver_bin: bool,
     /// Under the obs crate, the sanctioned owner of span clocks and the
     /// stderr diagnostic escape hatch.
     pub obs_crate: bool,
@@ -217,27 +219,20 @@ impl FileScope {
             .components()
             .map(|c| c.as_os_str().to_string_lossy().into_owned())
             .collect();
-        let under_src_of = |krate: &str| {
-            parts
-                .windows(3)
-                .any(|w| w[0] == "crates" && w[1] == krate && w[2] == "src")
-        };
+        // Whether the path runs through `dir`, component for component.
+        let under = |dir: &[&str]| parts.windows(dir.len()).any(|w| w == dir);
+        let under_src_of = |krate: &str| under(&["crates", krate, "src"]);
         FileScope {
             panic_free_crate: under_src_of("core")
                 || under_src_of("info")
                 || under_src_of("obs")
                 || under_src_of("analysis"),
-            bench_crate: parts
-                .windows(2)
-                .any(|w| w[0] == "crates" && w[1] == "bench"),
-            bench_bin: parts
-                .windows(4)
-                .any(|w| w[0] == "crates" && w[1] == "bench" && w[2] == "src" && w[3] == "bin"),
-            obs_crate: parts.windows(2).any(|w| w[0] == "crates" && w[1] == "obs"),
+            bench_crate: under(&["crates", "bench"]),
+            driver_bin: under(&["crates", "bench", "src", "bin"])
+                || under(&["crates", "serve", "src", "bin"]),
+            obs_crate: under(&["crates", "obs"]),
             obs_sink_crate: under_src_of("core") || under_src_of("info") || under_src_of("sim"),
-            durable_crate: parts
-                .windows(2)
-                .any(|w| w[0] == "crates" && w[1] == "durable"),
+            durable_crate: under(&["crates", "durable"]),
             test_file: parts
                 .iter()
                 .any(|p| p == "tests" || p == "benches" || p == "examples"),
@@ -659,7 +654,8 @@ pub(crate) fn test_attribute_end(toks: &[Token], i: usize) -> Option<usize> {
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-/// Panicking checks the experiment binaries may not use outside tests.
+/// Panicking checks the experiment and daemon binaries may not use
+/// outside tests.
 const ASSERT_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 const WALL_CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
 
@@ -718,7 +714,7 @@ pub fn lint_source(
                 // binaries, which must exit nonzero with a diagnostic
                 // rather than unwind (their exit status is what CI and
                 // the crash-recovery harnesses observe).
-                if (scope.panic_free_crate || scope.bench_bin)
+                if (scope.panic_free_crate || scope.driver_bin)
                     && (config.include_tests || !is_test(idx))
                 {
                     let next_is =
@@ -736,7 +732,7 @@ pub fn lint_source(
                         );
                     }
                     let panics = PANIC_MACROS.contains(&name.as_str())
-                        || (scope.bench_bin && ASSERT_MACROS.contains(&name.as_str()));
+                        || (scope.driver_bin && ASSERT_MACROS.contains(&name.as_str()));
                     if panics && next_is('!') {
                         push(
                             &mut out,
@@ -1043,13 +1039,26 @@ fn method() -> u64 { 5u64.max(3) }
     }
 
     #[test]
+    fn flags_panics_and_asserts_in_the_serve_daemon_binary() {
+        let src = "fn run(out: Option<&str>) { out.expect(\"--out\"); assert!(out.is_some()); }\n";
+        let bin = lint(
+            src,
+            FileScope::of(Path::new("crates/serve/src/bin/untangle-serve.rs")),
+        );
+        assert_eq!(bin.len(), 2, "{bin:?}");
+        assert!(bin.iter().all(|v| v.rule == Rule::PanicFree), "{bin:?}");
+        let lib = lint(src, FileScope::of(Path::new("crates/serve/src/engine.rs")));
+        assert!(lib.iter().all(|v| v.rule != Rule::PanicFree), "{lib:?}");
+    }
+
+    #[test]
     fn flags_asserts_in_experiment_binaries_only() {
         let src = "fn main() { let n = 3; assert!(n > 2); assert_eq!(n, 3, \"n\"); \
                    assert_ne!(n, 4); debug_assert!(n > 0); debug_assert_eq!(n, 3); }\n\
                    #[cfg(test)]\nmod tests {\n #[test]\n fn t() { assert_eq!(1, 1); }\n}\n";
         let bin = lint(
             src,
-            FileScope::of(Path::new("crates/bench/src/bin/serve_bench.rs")),
+            FileScope::of(Path::new("crates/bench/src/bin/exp_replay.rs")),
         );
         assert_eq!(bin.len(), 3, "{bin:?}");
         assert!(bin.iter().all(|v| v.rule == Rule::PanicFree), "{bin:?}");
@@ -1198,9 +1207,9 @@ fn esc() -> char { '\n' }
         assert!(FileScope::of(Path::new("crates/bench/src/report.rs")).bench_crate);
         // The experiment binaries are panic-free; bench library code is
         // not in scope (its tests use expect freely).
-        assert!(FileScope::of(Path::new("crates/bench/src/bin/exp_mixes.rs")).bench_bin);
-        assert!(!FileScope::of(Path::new("crates/bench/src/report.rs")).bench_bin);
-        assert!(!FileScope::of(Path::new("crates/bench/benches/kernels.rs")).bench_bin);
+        assert!(FileScope::of(Path::new("crates/bench/src/bin/exp_mixes.rs")).driver_bin);
+        assert!(!FileScope::of(Path::new("crates/bench/src/report.rs")).driver_bin);
+        assert!(!FileScope::of(Path::new("crates/bench/benches/kernels.rs")).driver_bin);
         assert!(FileScope::of(Path::new("crates/core/tests/props.rs")).test_file);
         assert!(FileScope::of(Path::new("examples/quickstart.rs")).test_file);
         // The panic rule never applies outside src of the named crates.

@@ -18,8 +18,8 @@
 //! Usage: `cargo run --release -p untangle-bench --bin exp_ablation
 //! [--scale 0.002]`
 
-use untangle_bench::parse_flag;
 use untangle_bench::table::{f3, TextTable};
+use untangle_bench::Flags;
 use untangle_core::action::Action;
 use untangle_core::metric::MetricPolicy;
 use untangle_core::runner::{Runner, RunnerConfig};
@@ -80,8 +80,7 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
+    let scale: f64 = Flags::read(std::env::args().skip(1), |f| f.value("--scale", 0.01))?;
 
     // --- Ablations 1 & 2: which combinations keep actions secret-free?
     println!("== Action-sequence secret-independence (Figure 1a pattern) ==");

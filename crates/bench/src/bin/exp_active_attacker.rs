@@ -10,8 +10,8 @@
 //! exp_active_attacker [--scale 0.01] [--mixes 4] [--out results]`
 
 use untangle_bench::experiments::active_attacker_study;
-use untangle_bench::parse_flag;
 use untangle_bench::table::{f2, TextTable};
+use untangle_bench::Flags;
 use untangle_core::UntangleError;
 use untangle_obs as obs;
 use untangle_workloads::mix::mix_by_id;
@@ -24,10 +24,14 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
-    let n_mixes: usize = parse_flag(&args, "--mixes", 4)?;
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
+    let (scale, n_mixes, out_dir): (f64, usize, String) =
+        Flags::read(std::env::args().skip(1), |f| {
+            Ok((
+                f.value("--scale", 0.01)?,
+                f.value("--mixes", 4)?,
+                f.value("--out", "results".to_string())?,
+            ))
+        })?;
     std::fs::create_dir_all(&out_dir)?;
 
     obs::diag!("# §9 active-attacker study at scale {scale} (first {n_mixes} mixes)");

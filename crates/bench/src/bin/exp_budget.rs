@@ -12,8 +12,8 @@
 
 use untangle_bench::experiments::budget_sweep;
 use untangle_bench::parallel;
-use untangle_bench::parse_flag;
 use untangle_bench::table::{f2, TextTable};
+use untangle_bench::Flags;
 use untangle_core::UntangleError;
 use untangle_obs as obs;
 use untangle_workloads::mix::mix_by_id;
@@ -26,9 +26,12 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.005)?;
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
+    let (scale, out_dir): (f64, String) = Flags::read(std::env::args().skip(1), |f| {
+        Ok((
+            f.value("--scale", 0.005)?,
+            f.value("--out", "results".to_string())?,
+        ))
+    })?;
     std::fs::create_dir_all(&out_dir)?;
 
     obs::diag!(

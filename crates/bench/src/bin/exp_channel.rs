@@ -11,8 +11,8 @@
 //! [--out results]`
 
 use untangle_bench::experiments::{rmax_vs_cooldown, rmax_vs_delay, strategy_example};
-use untangle_bench::parse_flag;
 use untangle_bench::table::{f3, TextTable};
+use untangle_bench::Flags;
 use untangle_core::UntangleError;
 use untangle_info::decompose::TraceEnsemble;
 use untangle_info::rate_table::{RateTable, RateTableConfig};
@@ -27,8 +27,9 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
+    let out_dir: String = Flags::read(std::env::args().skip(1), |f| {
+        f.value("--out", "results".to_string())
+    })?;
     std::fs::create_dir_all(&out_dir)?;
 
     // §5.3.1 strategy example.

@@ -29,7 +29,7 @@ use untangle_bench::parallel::{self, RetryPolicy};
 use untangle_bench::plot::BarChart;
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::table::{f2, f3, TextTable};
-use untangle_bench::{has_flag, parse_flag};
+use untangle_bench::Flags;
 use untangle_core::runner::RunnerConfig;
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
@@ -152,12 +152,16 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
-    let only_mix: usize = parse_flag(&args, "--mix", 0)?;
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
-    let resume = has_flag(&args, "--resume");
-    let retries: usize = parse_flag(&args, "--retries", 1)?;
+    let (scale, only_mix, out_dir, resume, retries): (f64, usize, String, bool, usize) =
+        Flags::read(std::env::args().skip(1), |f| {
+            Ok((
+                f.value("--scale", 0.01)?,
+                f.value("--mix", 0)?,
+                f.value("--out", "results".to_string())?,
+                f.switch("--resume"),
+                f.value("--retries", 1)?,
+            ))
+        })?;
     // Every run validates the scale again; checking it here rejects a
     // bad one before any checkpoint, CSV or report section is written.
     RunnerConfig::eval_scale(SchemeKind::Static, scale)?;

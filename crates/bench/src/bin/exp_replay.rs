@@ -8,8 +8,8 @@
 //! Usage: `cargo run --release -p untangle-bench --bin exp_replay
 //! [--scale 0.004] [--runs 8] [--budget 3.0]`
 
-use untangle_bench::parse_flag;
 use untangle_bench::table::{f2, TextTable};
+use untangle_bench::Flags;
 use untangle_core::runner::{Runner, RunnerConfig};
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
@@ -24,10 +24,13 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.004)?;
-    let runs: usize = parse_flag(&args, "--runs", 6)?;
-    let budget: f64 = parse_flag(&args, "--budget", 25.0)?;
+    let (scale, runs, budget): (f64, usize, f64) = Flags::read(std::env::args().skip(1), |f| {
+        Ok((
+            f.value("--scale", 0.004)?,
+            f.value("--runs", 6)?,
+            f.value("--budget", 25.0)?,
+        ))
+    })?;
 
     obs::diag!("# §6.2 replay study: {runs} runs against a {budget}-bit lifetime budget");
     let mut carried = 0.0;

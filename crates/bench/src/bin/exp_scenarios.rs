@@ -24,7 +24,7 @@ use untangle_bench::scenarios::{
     run_scenario_sweep, summarize, ScenarioResult, SweepSettings, SweepSummary,
 };
 use untangle_bench::table::{f3, TextTable};
-use untangle_bench::{has_flag, parse_flag};
+use untangle_bench::Flags;
 use untangle_core::UntangleError;
 use untangle_obs as obs;
 
@@ -35,19 +35,19 @@ fn main() {
     }
 }
 
-fn settings_from(args: &[String]) -> Result<SweepSettings, UntangleError> {
-    let base = if has_flag(args, "--smoke") {
+fn settings_from(f: &mut Flags) -> Result<SweepSettings, UntangleError> {
+    let base = if f.switch("--smoke") {
         SweepSettings::smoke()
     } else {
         SweepSettings::full()
     };
     let settings = SweepSettings {
-        count: parse_flag(args, "--count", base.count)?,
-        trace_instrs: parse_flag(args, "--trace-instrs", base.trace_instrs)?,
-        block_instrs: parse_flag(args, "--block", base.block_instrs)?,
-        interval_instrs: parse_flag(args, "--interval", base.interval_instrs)?,
-        max_slices: parse_flag(args, "--slices", base.max_slices)?,
-        validate_every: parse_flag(args, "--validate-every", base.validate_every)?,
+        count: f.value("--count", base.count)?,
+        trace_instrs: f.value("--trace-instrs", base.trace_instrs)?,
+        block_instrs: f.value("--block", base.block_instrs)?,
+        interval_instrs: f.value("--interval", base.interval_instrs)?,
+        max_slices: f.value("--slices", base.max_slices)?,
+        validate_every: f.value("--validate-every", base.validate_every)?,
     };
     if settings.count == 0
         || settings.trace_instrs == 0
@@ -170,11 +170,15 @@ fn section_json(summary: &SweepSummary, settings: &SweepSettings, resumed: usize
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let settings = settings_from(&args)?;
-    let out: String = parse_flag(&args, "--out", "target/exp_scenarios".to_string())?;
-    let resume = has_flag(&args, "--resume");
-    let retries: usize = parse_flag(&args, "--retries", 2)?;
+    let (settings, out, resume, retries): (SweepSettings, String, bool, usize) =
+        Flags::read(std::env::args().skip(1), |f| {
+            Ok((
+                settings_from(f)?,
+                f.value("--out", "target/exp_scenarios".to_string())?,
+                f.switch("--resume"),
+                f.value("--retries", 2)?,
+            ))
+        })?;
 
     obs::diag!(
         "sweeping {} scenarios of {} instrs (interval {}, <= {} slices, validate every {})",

@@ -7,9 +7,9 @@
 
 use untangle_bench::experiments::sensitivity_study;
 use untangle_bench::parallel;
-use untangle_bench::parse_flag;
 use untangle_bench::plot::sparkline;
 use untangle_bench::table::{f3, TextTable};
+use untangle_bench::Flags;
 use untangle_core::UntangleError;
 use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
@@ -23,9 +23,12 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.002)?;
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
+    let (scale, out_dir): (f64, String) = Flags::read(std::env::args().skip(1), |f| {
+        Ok((
+            f.value("--scale", 0.002)?,
+            f.value("--out", "results".to_string())?,
+        ))
+    })?;
 
     obs::diag!(
         "# Figure 11 sensitivity study at scale {scale} (36 benchmarks x 9 sizes, {} thread(s))",

@@ -17,9 +17,9 @@
 use untangle_bench::experiments::{leakage_summary, run_mix_sweep};
 use untangle_bench::harness::timed;
 use untangle_bench::parallel::{self, RetryPolicy};
-use untangle_bench::parse_flag;
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::table::{f2, TextTable};
+use untangle_bench::Flags;
 use untangle_core::runner::RunnerConfig;
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
@@ -36,9 +36,12 @@ fn main() {
 }
 
 fn run() -> Result<(), UntangleError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale: f64 = parse_flag(&args, "--scale", 0.01)?;
-    let out_dir: String = parse_flag(&args, "--out", "results".to_string())?;
+    let (scale, out_dir): (f64, String) = Flags::read(std::env::args().skip(1), |f| {
+        Ok((
+            f.value("--scale", 0.01)?,
+            f.value("--out", "results".to_string())?,
+        ))
+    })?;
     // Also rejects a bad scale before anything is written.
     let params = RunnerConfig::eval_scale(SchemeKind::Untangle, scale)?.params;
     std::fs::create_dir_all(&out_dir)?;

@@ -10,12 +10,17 @@
 //! Usage: `cargo run --release -p untangle-bench --bin exp_tables`
 
 use untangle_bench::table::TextTable;
+use untangle_bench::Flags;
 use untangle_core::prior::PRIOR_SCHEMES;
 use untangle_core::scheme::SchemeKind;
 use untangle_sim::config::{MachineConfig, PartitionSize};
 use untangle_workloads::crypto::crypto_benchmarks;
 
 fn main() {
+    if let Err(e) = Flags::read(std::env::args().skip(1), |_| Ok(())) {
+        eprintln!("exp_tables: {e}");
+        std::process::exit(1);
+    }
     println!("== Table 1: prior dynamic partitioning schemes ==");
     let mut t1 = TextTable::new(vec![
         "Name",

@@ -47,40 +47,88 @@ pub mod report;
 pub mod scenarios;
 pub mod table;
 
+use std::str::FromStr;
+
 use untangle_core::UntangleError;
 
-/// Parses a `--flag value` style argument from `args`, with a default.
-///
-/// ```
-/// let args = vec!["--scale".to_string(), "0.05".to_string()];
-/// let scale: f64 = untangle_bench::parse_flag(&args, "--scale", 0.01).unwrap();
-/// assert_eq!(scale, 0.05);
-/// ```
-///
-/// # Errors
-///
-/// An absent flag yields `default`; a present flag with a missing or
-/// unparsable value is [`UntangleError::InvalidConfig`] naming the flag
-/// and the value, so a typo never silently runs the default.
-pub fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, UntangleError> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| UntangleError::InvalidConfig(format!("{flag} needs a value")))?;
-    value
-        .parse()
-        .map_err(|_| UntangleError::InvalidConfig(format!("{flag}: cannot parse '{value}'")))
+/// The command-line flags of an experiment binary, read by name inside
+/// [`Flags::read`]: `--flag value` pairs through [`Flags::value`],
+/// bare switches through [`Flags::switch`].
+#[derive(Debug)]
+pub struct Flags {
+    args: Vec<String>,
+    /// Which of `args` a read consumed.
+    consumed: Vec<bool>,
 }
 
-/// Whether a bare `--flag` is present.
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+impl Flags {
+    /// Runs `read` over `args`, then rejects every argument it did not
+    /// consume — a misspelled or unsupported flag, a repeated flag, a
+    /// stray value — so a typo never silently runs the defaults.
+    ///
+    /// ```
+    /// use untangle_bench::Flags;
+    ///
+    /// let scale = |args: [&str; 2]| Flags::read(args.map(String::from), |f| f.value("--scale", 0.01));
+    /// assert_eq!(scale(["--scale", "0.05"]).unwrap(), 0.05);
+    /// assert!(scale(["--scael", "0.05"]).is_err());
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Whatever `read` returns, else [`UntangleError::InvalidConfig`]
+    /// naming the first argument `read` left unconsumed.
+    pub fn read<T>(
+        args: impl IntoIterator<Item = String>,
+        read: impl FnOnce(&mut Flags) -> Result<T, UntangleError>,
+    ) -> Result<T, UntangleError> {
+        let args: Vec<String> = args.into_iter().collect();
+        let consumed = vec![false; args.len()];
+        let mut flags = Flags { args, consumed };
+        let value = read(&mut flags)?;
+        match flags.consumed.iter().position(|&c| !c) {
+            None => Ok(value),
+            Some(i) => {
+                let arg = &flags.args[i];
+                Err(UntangleError::InvalidConfig(format!(
+                    "unknown argument '{arg}'"
+                )))
+            }
+        }
+    }
+
+    /// The value of `--flag value`, or `default` when the flag is
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// A present flag with a missing or unparsable value is
+    /// [`UntangleError::InvalidConfig`] naming the flag and the value.
+    pub fn value<T: FromStr>(&mut self, flag: &str, default: T) -> Result<T, UntangleError> {
+        let Some(i) = self.find(flag) else {
+            return Ok(default);
+        };
+        let value = self
+            .args
+            .get(i + 1)
+            .ok_or_else(|| UntangleError::InvalidConfig(format!("{flag} needs a value")))?;
+        self.consumed[i + 1] = true;
+        value
+            .parse()
+            .map_err(|_| UntangleError::InvalidConfig(format!("{flag}: cannot parse '{value}'")))
+    }
+
+    /// Whether the bare switch `--flag` is present.
+    pub fn switch(&mut self, flag: &str) -> bool {
+        self.find(flag).is_some()
+    }
+
+    /// The position of `flag`'s first occurrence, now consumed.
+    fn find(&mut self, flag: &str) -> Option<usize> {
+        let i = self.args.iter().position(|a| a == flag)?;
+        self.consumed[i] = true;
+        Some(i)
+    }
 }
 
 /// Atomically writes an experiment artifact (a CSV, a report fragment),
@@ -97,34 +145,60 @@ pub fn write_artifact(path: &str, bytes: &[u8]) -> Result<(), UntangleError> {
 mod tests {
     use super::*;
 
-    fn args(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
+    fn read<T>(
+        items: &[&str],
+        f: impl FnOnce(&mut Flags) -> Result<T, UntangleError>,
+    ) -> Result<T, UntangleError> {
+        Flags::read(items.iter().map(|s| s.to_string()), f)
     }
 
     #[test]
-    fn parse_flag_reads_a_present_value() {
-        let a = args(&["--mix", "3", "--scale", "0.25"]);
-        assert_eq!(parse_flag(&a, "--mix", 0usize).unwrap(), 3);
-        assert_eq!(parse_flag(&a, "--scale", 0.01).unwrap(), 0.25);
-        assert_eq!(
-            parse_flag(&a, "--out", "results".to_string()).unwrap(),
-            "results"
-        );
+    fn value_reads_a_present_flag_or_the_default() {
+        let got = read(&["--mix", "3", "--scale", "0.25", "--resume"], |f| {
+            Ok((
+                f.value("--mix", 0usize)?,
+                f.value("--scale", 0.01)?,
+                f.value("--out", "results".to_string())?,
+                f.switch("--resume"),
+                f.switch("--smoke"),
+            ))
+        });
+        assert_eq!(got.unwrap(), (3, 0.25, "results".to_string(), true, false));
     }
 
     #[test]
-    fn parse_flag_rejects_an_unparsable_value() {
-        let err = parse_flag(&args(&["--mix", "one"]), "--mix", 0usize).unwrap_err();
+    fn value_rejects_an_unparsable_value() {
+        let err = read(&["--mix", "one"], |f| f.value("--mix", 0usize)).unwrap_err();
         assert!(matches!(err, UntangleError::InvalidConfig(_)), "{err:?}");
         let msg = err.to_string();
         assert!(msg.contains("--mix") && msg.contains("'one'"), "{msg}");
-        assert!(parse_flag(&args(&["--scale", "0.0o1"]), "--scale", 0.01).is_err());
-        assert!(parse_flag(&args(&["--retries", "-1"]), "--retries", 1usize).is_err());
+        assert!(read(&["--scale", "0.0o1"], |f| f.value("--scale", 0.01)).is_err());
+        assert!(read(&["--retries", "-1"], |f| f.value("--retries", 1usize)).is_err());
     }
 
     #[test]
-    fn parse_flag_rejects_a_missing_value() {
-        let err = parse_flag(&args(&["--out", "x", "--scale"]), "--scale", 0.01).unwrap_err();
+    fn value_rejects_a_missing_value() {
+        let err = read(&["--out", "x", "--scale"], |f| {
+            f.value("--out", String::new())?;
+            f.value("--scale", 0.01)
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("--scale needs a value"), "{err}");
+    }
+
+    #[test]
+    fn read_rejects_every_argument_it_did_not_consume() {
+        let scale = |items: &[&str]| read(items, |f| f.value("--scale", 0.01));
+        for (items, unknown) in [
+            (&["--scael", "0.001"][..], "'--scael'"),
+            (&["--scale", "0.1", "--scale", "0.2"][..], "'--scale'"),
+            (&["--scale", "0.1", "extra"][..], "'extra'"),
+            (&["--resume"][..], "'--resume'"),
+        ] {
+            let err = scale(items).unwrap_err();
+            assert!(matches!(err, UntangleError::InvalidConfig(_)), "{err:?}");
+            assert!(err.to_string().contains(unknown), "{items:?}: {err}");
+        }
+        assert_eq!(scale(&[]).unwrap(), 0.01);
     }
 }

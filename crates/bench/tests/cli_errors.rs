@@ -103,3 +103,26 @@ fn unparsable_flag_values_exit_1_without_writing() {
         &["--scale"],
     );
 }
+
+#[test]
+fn unknown_arguments_exit_1_without_writing() {
+    // A misspelled flag name must not run the default experiment.
+    let cases = [
+        ("ablation", env!("CARGO_BIN_EXE_exp_ablation")),
+        ("active_attacker", env!("CARGO_BIN_EXE_exp_active_attacker")),
+        ("budget", env!("CARGO_BIN_EXE_exp_budget")),
+        ("channel", env!("CARGO_BIN_EXE_exp_channel")),
+        ("mixes", env!("CARGO_BIN_EXE_exp_mixes")),
+        ("replay", env!("CARGO_BIN_EXE_exp_replay")),
+        ("scenarios", env!("CARGO_BIN_EXE_exp_scenarios")),
+        ("sensitivity", env!("CARGO_BIN_EXE_exp_sensitivity")),
+        ("sweep", env!("CARGO_BIN_EXE_exp_sweep")),
+        ("table6", env!("CARGO_BIN_EXE_exp_table6")),
+        ("tables", env!("CARGO_BIN_EXE_exp_tables")),
+    ];
+    for (tag, exe) in cases {
+        assert_rejected(&format!("{tag}_scael"), exe, &["--scael", "0.001"]);
+    }
+    // Nor may a value without its flag.
+    assert_rejected("table6_stray", env!("CARGO_BIN_EXE_exp_table6"), &["0.001"]);
+}

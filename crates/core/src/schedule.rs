@@ -1,224 +1,27 @@
 //! Resizing schedules (Table 2, Principle 2 of §5.2).
 //!
-//! A schedule decides *when* resizing assessments happen:
+//! A [`Schedule`] decides *when* a domain's resizing assessments
+//! happen. It runs on one of two clocks:
 //!
-//! * [`TimeSchedule`] — assess every `T` cycles of wall-clock time, like
-//!   prior schemes (Table 1). The utilization metric value at such an
-//!   assessment depends on what the program managed to execute in `T`
-//!   cycles — i.e. on program timing — so secret-dependent timing
-//!   contaminates the *actions* (Edge ③ of Fig. 2).
-//! * [`ProgressSchedule`] — assess every `N` progress-counted retired
+//! * **wall clock** — assess every `T` cycles, like prior schemes
+//!   (Table 1). The utilization metric value at such an assessment
+//!   depends on what the program managed to execute in `T` cycles —
+//!   i.e. on program timing — so secret-dependent timing contaminates
+//!   the *actions* (Edge ③ of Fig. 2).
+//! * **progress** — assess every `N` progress-counted retired
 //!   instructions (Principle 2). With `N = w·T_c` (commit width `w`),
 //!   two assessments can never be closer than the cooldown `T_c`
-//!   (Mechanism 1), because retiring `N` instructions takes at least
-//!   `N/w` cycles.
+//!   (Mechanism 1, [`SchemeParams::cooldown_cycles`]), because retiring
+//!   `N` instructions takes at least `N/w` cycles.
 //!
-//! Both schedules take [`Labeled`] inputs. The wall-clock schedule must
-//! [`Labeled::declassify`] the (secret-dependent) cycle count to use it
-//! — the Edge ③ leak appears as the named site
-//! [`sites::TIME_SCHEDULE_WALL_CLOCK`] — while the progress schedule is
-//! a public-only interface that rejects secret-labeled counts
-//! fail-closed, so Untangle's schedule cannot silently consume tainted
-//! progress.
-//!
-//! [`Schedule`] is what a driver holds per domain: it picks the
-//! schedule a scheme prescribes, checks its interval, and labels the
-//! driver's raw inputs — the domain clock is always `Secret`, progress
-//! counts are always `Public` — so the batch `Runner` and the serve
-//! daemon cannot label them differently.
+//! A driver holds one `Schedule` per domain. It picks the clock the
+//! scheme prescribes, checks its interval and labels the driver's raw
+//! inputs — the clock `Secret`, progress `Public` — so the batch
+//! `Runner` and the serve daemon cannot label them differently.
 
 use crate::error::UntangleError;
 use crate::scheme::{DomainTier, SchemeKind, SchemeParams};
 use crate::taint::{sites, Labeled};
-
-/// When the next assessment is due, reported by a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleEvent {
-    /// No assessment due yet.
-    Idle,
-    /// Perform a resizing assessment now.
-    Assess,
-}
-
-/// The conventional wall-clock schedule: assess every `interval` cycles.
-#[derive(Debug, Clone)]
-pub struct TimeSchedule {
-    interval_cycles: f64,
-    next_at: f64,
-}
-
-impl TimeSchedule {
-    /// Creates a schedule assessing at `interval, 2·interval, …` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is not positive.
-    pub fn new(interval_cycles: f64) -> Self {
-        assert!(interval_cycles > 0.0, "interval must be positive");
-        Self {
-            interval_cycles,
-            next_at: interval_cycles,
-        }
-    }
-
-    /// The assessment interval in cycles.
-    pub fn interval_cycles(&self) -> f64 {
-        self.interval_cycles
-    }
-
-    /// The cycle at which the next assessment fires — with
-    /// [`TimeSchedule::restore`], the snapshot/restore pair for
-    /// crash-consistent replay.
-    pub fn next_at(&self) -> f64 {
-        self.next_at
-    }
-
-    /// Rebuilds a schedule mid-stream from a captured
-    /// [`TimeSchedule::next_at`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is not positive.
-    pub fn restore(interval_cycles: f64, next_at: f64) -> Self {
-        assert!(interval_cycles > 0.0, "interval must be positive");
-        Self {
-            interval_cycles,
-            next_at,
-        }
-    }
-
-    /// Notifies the schedule of one retired instruction and the domain's
-    /// clock after it. At most one assessment fires per retirement even
-    /// if the clock jumped past several boundaries (the monitor window
-    /// is shared, so back-to-back assessments would be redundant).
-    ///
-    /// The domain clock reflects secret-dependent execution timing, so a
-    /// secret-labeled clock is *declassified* here — this is the visible
-    /// Edge ③ site ([`sites::TIME_SCHEDULE_WALL_CLOCK`]) that makes the
-    /// conventional schedule's leak auditable.
-    pub fn on_retire(&mut self, cycles_now: Labeled<f64>) -> ScheduleEvent {
-        let cycles_now = cycles_now.declassify(sites::TIME_SCHEDULE_WALL_CLOCK);
-        if cycles_now >= self.next_at {
-            // Skip any boundaries the clock already passed.
-            while self.next_at <= cycles_now {
-                self.next_at += self.interval_cycles;
-            }
-            ScheduleEvent::Assess
-        } else {
-            ScheduleEvent::Idle
-        }
-    }
-}
-
-/// Untangle's progress-based schedule: assess every `N` counted retired
-/// instructions. Instructions that are control-dependent on secrets
-/// (annotated `secret_ctrl`) are *not* counted (§5.2), so the points of
-/// assessment in the public instruction stream are secret-independent.
-#[derive(Debug, Clone)]
-pub struct ProgressSchedule {
-    interval_instrs: u64,
-    counted: u64,
-}
-
-impl ProgressSchedule {
-    /// Creates a schedule assessing every `interval_instrs` counted
-    /// instructions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is zero.
-    pub fn new(interval_instrs: u64) -> Self {
-        assert!(interval_instrs > 0, "interval must be positive");
-        Self {
-            interval_instrs,
-            counted: 0,
-        }
-    }
-
-    /// The cooldown time this schedule structurally guarantees on a core
-    /// with the given commit width: `T_c = N / w` cycles (§5.3.2,
-    /// Mechanism 1).
-    pub fn guaranteed_cooldown_cycles(&self, commit_width: u32) -> f64 {
-        self.interval_instrs as f64 / commit_width as f64
-    }
-
-    /// The assessment interval in counted instructions.
-    pub fn interval_instrs(&self) -> u64 {
-        self.interval_instrs
-    }
-
-    /// Progress counted since the last assessment — with
-    /// [`ProgressSchedule::restore`], the snapshot/restore pair for
-    /// crash-consistent replay.
-    pub fn progress(&self) -> u64 {
-        self.counted
-    }
-
-    /// Rebuilds a schedule mid-stream from a captured
-    /// [`ProgressSchedule::progress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is zero.
-    pub fn restore(interval_instrs: u64, counted: u64) -> Self {
-        assert!(interval_instrs > 0, "interval must be positive");
-        Self {
-            interval_instrs,
-            counted,
-        }
-    }
-
-    /// Notifies the schedule of one retired instruction.
-    ///
-    /// `counts` is [`untangle_trace::Instr::counts_toward_progress`] for
-    /// the retired instruction. This is a public-only interface: a
-    /// secret-labeled count is rejected fail-closed (recorded as a taint
-    /// violation at [`sites::PROGRESS_SCHEDULE_INPUT`], not counted), so
-    /// secret data cannot influence *when* Untangle assesses.
-    pub fn on_retire(&mut self, counts: Labeled<bool>) -> ScheduleEvent {
-        let Ok(counts) = counts.require_public(sites::PROGRESS_SCHEDULE_INPUT) else {
-            return ScheduleEvent::Idle;
-        };
-        if !counts {
-            return ScheduleEvent::Idle;
-        }
-        self.counted += 1;
-        if self.counted >= self.interval_instrs {
-            // Progress toward the next assessment starts immediately
-            // after this one is triggered (Fig. 6), so the next action is
-            // not influenced by when this one is applied.
-            self.counted = 0;
-            ScheduleEvent::Assess
-        } else {
-            ScheduleEvent::Idle
-        }
-    }
-
-    /// Notifies the schedule of a *batch* of counted retired
-    /// instructions — one telemetry event summarizing many retirements,
-    /// the serve daemon's ingest granularity.
-    ///
-    /// At most one assessment fires per call even when the batch spans
-    /// several intervals (like [`TimeSchedule::on_retire`] collapsing
-    /// skipped boundaries: the utilization metric is shared state, so
-    /// back-to-back assessments on the same telemetry would be
-    /// redundant); leftover progress carries over modulo the interval.
-    /// The same fail-closed guard as [`ProgressSchedule::on_retire`]
-    /// applies: a secret-labeled count is dropped and recorded at
-    /// [`sites::PROGRESS_SCHEDULE_INPUT`].
-    pub fn on_progress(&mut self, counted_instrs: Labeled<u64>) -> ScheduleEvent {
-        let Ok(count) = counted_instrs.require_public(sites::PROGRESS_SCHEDULE_INPUT) else {
-            return ScheduleEvent::Idle;
-        };
-        self.counted += count;
-        if self.counted >= self.interval_instrs {
-            self.counted %= self.interval_instrs;
-            ScheduleEvent::Assess
-        } else {
-            ScheduleEvent::Idle
-        }
-    }
-}
 
 /// A domain's resizing schedule as its scheme prescribes it.
 #[derive(Debug, Clone)]
@@ -227,8 +30,18 @@ pub struct Schedule(Clock);
 #[derive(Debug, Clone)]
 enum Clock {
     Never,
-    Time(TimeSchedule),
-    Progress(ProgressSchedule),
+    /// Assess at `interval_cycles, 2·interval_cycles, …` on the domain
+    /// clock; `next_at` is the next boundary.
+    Time {
+        interval_cycles: f64,
+        next_at: f64,
+    },
+    /// Assess every `interval_instrs` counted retired instructions;
+    /// `counted` is the progress since the last assessment.
+    Progress {
+        interval_instrs: u64,
+        counted: u64,
+    },
 }
 
 /// Where a [`Schedule`] stands between assessments — what a snapshot
@@ -283,9 +96,15 @@ impl Schedule {
         let wall_clock =
             kind == SchemeKind::Time || (kind == SchemeKind::SecDcp && tier == DomainTier::Public);
         Ok(Schedule(if wall_clock {
-            Clock::Time(TimeSchedule::new(params.time_interval_cycles))
+            Clock::Time {
+                interval_cycles: params.time_interval_cycles,
+                next_at: params.time_interval_cycles,
+            }
         } else if kind == SchemeKind::Untangle {
-            Clock::Progress(ProgressSchedule::new(params.progress_interval_instrs))
+            Clock::Progress {
+                interval_instrs: params.progress_interval_instrs,
+                counted: 0,
+            }
         } else {
             Clock::Never
         }))
@@ -293,10 +112,10 @@ impl Schedule {
 
     /// The schedule's state, for a snapshot.
     pub fn position(&self) -> SchedulePosition {
-        match &self.0 {
+        match self.0 {
             Clock::Never => SchedulePosition::Never,
-            Clock::Time(s) => SchedulePosition::NextAt(s.next_at),
-            Clock::Progress(s) => SchedulePosition::Counted(s.counted),
+            Clock::Time { next_at, .. } => SchedulePosition::NextAt(next_at),
+            Clock::Progress { counted, .. } => SchedulePosition::Counted(counted),
         }
     }
 
@@ -309,8 +128,8 @@ impl Schedule {
     pub fn restore(&mut self, position: SchedulePosition) -> Result<(), UntangleError> {
         match (&mut self.0, position) {
             (Clock::Never, SchedulePosition::Never) => {}
-            (Clock::Time(s), SchedulePosition::NextAt(at)) => s.next_at = at,
-            (Clock::Progress(s), SchedulePosition::Counted(counted)) => s.counted = counted,
+            (Clock::Time { next_at, .. }, SchedulePosition::NextAt(at)) => *next_at = at,
+            (Clock::Progress { counted, .. }, SchedulePosition::Counted(c)) => *counted = c,
             _ => {
                 return Err(UntangleError::InvalidConfig(format!(
                     "schedule position {position:?} does not fit {:?}",
@@ -324,8 +143,10 @@ impl Schedule {
     /// The progress interval in counted instructions; `0` for a
     /// schedule that is not progress-based.
     pub fn progress_interval(&self) -> u64 {
-        match &self.0 {
-            Clock::Progress(s) => s.interval_instrs,
+        match self.0 {
+            Clock::Progress {
+                interval_instrs, ..
+            } => interval_instrs,
             _ => 0,
         }
     }
@@ -336,18 +157,55 @@ impl Schedule {
     /// in the batch driver, a telemetry report's count in serve).
     /// Returns whether an assessment is due.
     ///
-    /// The clock reflects secret-dependent execution timing, so it
-    /// enters the wall-clock schedule as `Secret` and is declassified at
-    /// the named Edge ③ site. Progress counts are public by the §6
-    /// annotation contract (secret_ctrl retirements do not count), so
-    /// Untangle's fail-closed guard stays silent.
+    /// At most one assessment fires per report, however many intervals
+    /// it spans, as back-to-back assessments on the same metric would be
+    /// redundant: the wall clock skips the boundaries it passed, and
+    /// progress keeps its remainder, counting toward the next assessment
+    /// at once (Fig. 6).
+    ///
+    /// The clock reflects secret-dependent timing, so the wall clock
+    /// [`Labeled::declassify`]s it once per report at the named Edge ③
+    /// site [`sites::TIME_SCHEDULE_WALL_CLOCK`]. Progress counts are
+    /// public by the §6 annotation contract (secret_ctrl retirements do
+    /// not count), so Untangle's fail-closed guard stays silent.
     pub fn on_progress(&mut self, now: f64, progress: u64) -> bool {
-        let event = match &mut self.0 {
-            Clock::Never => ScheduleEvent::Idle,
-            Clock::Time(s) => s.on_retire(Labeled::secret(now)),
-            Clock::Progress(s) => s.on_progress(Labeled::public(progress)),
-        };
-        event == ScheduleEvent::Assess
+        self.on_labeled(Labeled::secret(now), Labeled::public(progress))
+    }
+
+    /// [`Schedule::on_progress`] on labeled inputs: the progress clock
+    /// drops a secret-labeled count and records a violation at
+    /// [`sites::PROGRESS_SCHEDULE_INPUT`].
+    fn on_labeled(&mut self, now: Labeled<f64>, progress: Labeled<u64>) -> bool {
+        match &mut self.0 {
+            Clock::Never => false,
+            Clock::Time {
+                interval_cycles,
+                next_at,
+            } => {
+                let now = now.declassify(sites::TIME_SCHEDULE_WALL_CLOCK);
+                if now < *next_at {
+                    return false;
+                }
+                while *next_at <= now {
+                    *next_at += *interval_cycles;
+                }
+                true
+            }
+            Clock::Progress {
+                interval_instrs,
+                counted,
+            } => {
+                let Ok(progress) = progress.require_public(sites::PROGRESS_SCHEDULE_INPUT) else {
+                    return false;
+                };
+                *counted += progress;
+                if *counted < *interval_instrs {
+                    return false;
+                }
+                *counted %= *interval_instrs;
+                true
+            }
+        }
     }
 }
 
@@ -356,140 +214,112 @@ mod tests {
     use super::*;
     use crate::taint::audit;
 
-    #[test]
-    fn time_schedule_fires_on_boundaries() {
-        let mut s = TimeSchedule::new(100.0);
-        assert_eq!(s.on_retire(Labeled::secret(50.0)), ScheduleEvent::Idle);
-        assert_eq!(s.on_retire(Labeled::secret(100.0)), ScheduleEvent::Assess);
-        assert_eq!(s.on_retire(Labeled::secret(150.0)), ScheduleEvent::Idle);
-        assert_eq!(s.on_retire(Labeled::secret(205.0)), ScheduleEvent::Assess);
-    }
-
-    #[test]
-    fn time_schedule_collapses_skipped_boundaries() {
-        let mut s = TimeSchedule::new(100.0);
-        // A long stall jumps past 3 boundaries: only one assessment.
-        assert_eq!(s.on_retire(Labeled::secret(350.0)), ScheduleEvent::Assess);
-        assert_eq!(s.on_retire(Labeled::secret(380.0)), ScheduleEvent::Idle);
-        assert_eq!(s.on_retire(Labeled::secret(400.0)), ScheduleEvent::Assess);
-    }
-
-    #[test]
-    fn time_schedule_declassifies_secret_clock() {
-        let mut s = TimeSchedule::new(100.0);
-        let (_, log) = audit::capture(|| {
-            let _ = s.on_retire(Labeled::secret(50.0));
-            let _ = s.on_retire(Labeled::secret(100.0));
-        });
-        assert_eq!(log.declassified.len(), 1);
-        assert_eq!(log.declassified[0].site, sites::TIME_SCHEDULE_WALL_CLOCK);
-        assert_eq!(log.declassified[0].hits, 2);
-    }
-
-    #[test]
-    fn progress_schedule_counts_only_public_progress() {
-        let mut s = ProgressSchedule::new(3);
-        let p = Labeled::public;
-        assert_eq!(s.on_retire(p(true)), ScheduleEvent::Idle);
-        assert_eq!(s.on_retire(p(false)), ScheduleEvent::Idle); // secret_ctrl
-        assert_eq!(s.on_retire(p(true)), ScheduleEvent::Idle);
-        assert_eq!(s.on_retire(p(false)), ScheduleEvent::Idle);
-        assert_eq!(s.on_retire(p(true)), ScheduleEvent::Assess);
-        // Counter restarts.
-        assert_eq!(s.progress(), 0);
-        assert_eq!(s.on_retire(p(true)), ScheduleEvent::Idle);
-    }
-
-    #[test]
-    fn progress_schedule_rejects_secret_counts_fail_closed() {
-        let mut s = ProgressSchedule::new(2);
-        let (_, log) = audit::capture(|| {
-            // A secret-labeled count is dropped: no progress, a recorded
-            // violation, never a declassification.
-            assert_eq!(s.on_retire(Labeled::secret(true)), ScheduleEvent::Idle);
-            assert_eq!(s.progress(), 0);
-            assert_eq!(s.on_retire(Labeled::public(true)), ScheduleEvent::Idle);
-            assert_eq!(s.on_retire(Labeled::public(true)), ScheduleEvent::Assess);
-        });
-        assert!(log.declassified.is_empty());
-        assert_eq!(log.violations.len(), 1);
-        assert_eq!(log.violations[0].site, sites::PROGRESS_SCHEDULE_INPUT);
-    }
-
-    #[test]
-    fn progress_schedule_is_timing_oblivious() {
-        // The same instruction stream produces the same assessment
-        // points regardless of any notion of time.
-        let stream = [true, true, false, true, true, true, false, true];
-        let fire = |s: &mut ProgressSchedule| {
-            stream
-                .iter()
-                .map(|&c| s.on_retire(Labeled::public(c)) == ScheduleEvent::Assess)
-                .collect::<Vec<_>>()
-        };
-        let mut a = ProgressSchedule::new(2);
-        let mut b = ProgressSchedule::new(2);
-        assert_eq!(fire(&mut a), fire(&mut b));
-    }
-
-    #[test]
-    fn batched_progress_matches_per_retirement_counting() {
-        // 7 counted instructions against an interval of 3, delivered
-        // one by one vs as batches: same total progress, and the batch
-        // path fires at the same cumulative counts.
-        let mut single = ProgressSchedule::new(3);
-        let fires: usize = (0..7)
-            .filter(|_| single.on_retire(Labeled::public(true)) == ScheduleEvent::Assess)
-            .count();
-        let mut batched = ProgressSchedule::new(3);
-        let mut batch_fires = 0;
-        for batch in [2u64, 3, 2] {
-            if batched.on_progress(Labeled::public(batch)) == ScheduleEvent::Assess {
-                batch_fires += 1;
-            }
-        }
-        assert_eq!(fires, 2);
-        assert_eq!(batch_fires, 2);
-        assert_eq!(single.progress(), batched.progress());
-    }
-
-    #[test]
-    fn batched_progress_collapses_spanned_intervals() {
-        let mut s = ProgressSchedule::new(4);
-        // 10 instructions span two intervals: one assessment, 2 left.
-        assert_eq!(s.on_progress(Labeled::public(10)), ScheduleEvent::Assess);
-        assert_eq!(s.progress(), 2);
-        assert_eq!(s.on_progress(Labeled::public(1)), ScheduleEvent::Idle);
-        assert_eq!(s.on_progress(Labeled::public(1)), ScheduleEvent::Assess);
-    }
-
-    #[test]
-    fn batched_progress_rejects_secret_counts_fail_closed() {
-        let mut s = ProgressSchedule::new(2);
-        let (_, log) = audit::capture(|| {
-            assert_eq!(s.on_progress(Labeled::secret(5)), ScheduleEvent::Idle);
-            assert_eq!(s.progress(), 0);
-        });
-        assert!(log.declassified.is_empty());
-        assert_eq!(log.violations.len(), 1);
-        assert_eq!(log.violations[0].site, sites::PROGRESS_SCHEDULE_INPUT);
-    }
-
-    #[test]
-    fn cooldown_guarantee() {
-        let s = ProgressSchedule::new(8_000_000);
-        // Paper configuration: 8 M instructions, 8-wide ⇒ 1 M cycles
-        // (= 0.5 ms at 2 GHz; the paper pairs 8 M with T_c = 1 ms by
-        // counting macro-ops — the structural bound is what matters).
-        assert!((s.guaranteed_cooldown_cycles(8) - 1_000_000.0).abs() < 1e-9);
-    }
-
     fn params() -> SchemeParams {
         SchemeParams {
             time_interval_cycles: 100.0,
             progress_interval_instrs: 3,
             ..SchemeParams::scaled(0.01)
         }
+    }
+
+    fn schedule(kind: SchemeKind, p: &SchemeParams) -> Schedule {
+        Schedule::new(kind, DomainTier::Sensitive, p).unwrap()
+    }
+
+    fn progress_every(n: u64) -> Schedule {
+        let p = SchemeParams {
+            progress_interval_instrs: n,
+            ..params()
+        };
+        schedule(SchemeKind::Untangle, &p)
+    }
+
+    #[test]
+    fn wall_clock_fires_on_boundaries() {
+        let mut s = schedule(SchemeKind::Time, &params());
+        let fires = [50.0, 100.0, 150.0, 205.0].map(|now| s.on_progress(now, 1));
+        assert_eq!(fires, [false, true, false, true]);
+    }
+
+    #[test]
+    fn wall_clock_fires_once_when_it_skips_boundaries() {
+        let mut s = schedule(SchemeKind::Time, &params());
+        // A long stall jumps past 3 boundaries: only one assessment.
+        let fires = [350.0, 380.0, 400.0].map(|now| s.on_progress(now, 0));
+        assert_eq!(fires, [true, false, true]);
+        assert_eq!(s.position(), SchedulePosition::NextAt(500.0));
+    }
+
+    #[test]
+    fn progress_counts_only_counted_retirements() {
+        let mut s = progress_every(3);
+        // Zero-progress retirements (secret_ctrl) do not count.
+        let fires = [1, 0, 1, 0, 1].map(|c| s.on_progress(0.0, c));
+        assert_eq!(fires, [false, false, false, false, true]);
+        // The counter restarts.
+        assert_eq!(s.position(), SchedulePosition::Counted(0));
+        assert!(!s.on_progress(0.0, 1));
+    }
+
+    #[test]
+    fn progress_guard_drops_secret_counts_fail_closed() {
+        let mut s = progress_every(2);
+        let (fires, log) = audit::capture(|| {
+            // A secret-labeled count is dropped — single or batched: no
+            // progress, a recorded violation, never a declassification.
+            let dropped = [1, 5].map(|c| s.on_labeled(Labeled::public(0.0), Labeled::secret(c)));
+            assert_eq!(s.position(), SchedulePosition::Counted(0));
+            (dropped, [1, 1].map(|c| s.on_progress(0.0, c)))
+        });
+        assert_eq!(fires, ([false, false], [false, true]));
+        assert!(log.declassified.is_empty());
+        assert_eq!(log.violations.len(), 1);
+        assert_eq!(log.violations[0].site, sites::PROGRESS_SCHEDULE_INPUT);
+        assert_eq!(log.violations[0].hits, 2);
+    }
+
+    #[test]
+    fn progress_ignores_the_clock() {
+        // The same instruction stream produces the same assessment
+        // points whatever the clock reads.
+        let stream = [1, 1, 0, 1, 1, 1, 0, 1];
+        let fire = |clock: fn(usize) -> f64| {
+            let mut s = progress_every(2);
+            let fires: Vec<bool> = (0..stream.len())
+                .map(|i| s.on_progress(clock(i), stream[i]))
+                .collect();
+            (fires, s.position())
+        };
+        let steady = fire(|i| i as f64);
+        assert_eq!(steady, fire(|i| (i * i) as f64 * 1e6));
+        assert_eq!(steady, fire(|i| -(i as f64)));
+        assert_eq!(steady.0.iter().filter(|&&f| f).count(), 3);
+    }
+
+    #[test]
+    fn batched_progress_matches_per_instruction_progress() {
+        // 7 counted instructions against an interval of 3, delivered
+        // one by one vs as batches: the batches fire at the same
+        // cumulative counts and leave the same progress.
+        let mut single = progress_every(3);
+        let fires = (0..7).filter(|_| single.on_progress(0.0, 1)).count();
+        let mut batched = progress_every(3);
+        let batch_fires = [2, 3, 2]
+            .into_iter()
+            .filter(|&b| batched.on_progress(0.0, b))
+            .count();
+        assert_eq!((fires, batch_fires), (2, 2));
+        assert_eq!(single.position(), batched.position());
+    }
+
+    #[test]
+    fn batched_progress_carries_over_and_collapses() {
+        let mut s = progress_every(4);
+        // 10 instructions span two intervals: one assessment, 2 left.
+        assert!(s.on_progress(0.0, 10));
+        assert_eq!(s.position(), SchedulePosition::Counted(2));
+        assert!(!s.on_progress(0.0, 1));
+        assert!(s.on_progress(0.0, 1));
     }
 
     #[test]
@@ -588,17 +418,5 @@ mod tests {
             time.restore(SchedulePosition::Counted(1)),
             Err(UntangleError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn time_rejects_zero() {
-        let _ = TimeSchedule::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn progress_rejects_zero() {
-        let _ = ProgressSchedule::new(0);
     }
 }

@@ -253,8 +253,8 @@ labeled_binop!(Div, div);
 /// Scoped recording of declassifications and taint violations.
 ///
 /// Recording is thread-local and off by default, so the per-retirement
-/// hot paths (`TimeSchedule::on_retire` declassifies once per retired
-/// instruction) pay only a thread-local flag check outside
+/// hot paths (a wall-clock `Schedule::on_progress` declassifies once per
+/// retired instruction) pay only a thread-local flag check outside
 /// certification runs.
 pub mod audit {
     use super::*;

@@ -7,8 +7,8 @@ use untangle_core::action::Action;
 use untangle_core::heuristic::{
     decide_by_footprint, decide_global, HeuristicConfig, SHRINK_FREE_THRESHOLD,
 };
-use untangle_core::schedule::{ProgressSchedule, ScheduleEvent, TimeSchedule};
-use untangle_core::taint::Labeled;
+use untangle_core::schedule::Schedule;
+use untangle_core::scheme::{DomainTier, SchemeKind, SchemeParams};
 use untangle_sim::config::PartitionSize;
 use untangle_sim::umon::HitCurve;
 use untangle_trace::synth::TraceRng;
@@ -124,11 +124,15 @@ fn progress_schedule_fires_exactly_every_n() {
     for _ in 0..32 {
         let n = 1 + gen.below(99);
         let len = gen.below(500);
-        let mut s = ProgressSchedule::new(n);
+        let params = SchemeParams {
+            progress_interval_instrs: n,
+            ..SchemeParams::scaled(0.01)
+        };
+        let mut s = Schedule::new(SchemeKind::Untangle, DomainTier::Sensitive, &params).unwrap();
         let mut counted = 0u64;
-        for _ in 0..len {
+        for i in 0..len {
             let c = gen.below(2) == 1;
-            let fired = s.on_retire(Labeled::public(c)) == ScheduleEvent::Assess;
+            let fired = s.on_progress(i as f64, u64::from(c));
             if c {
                 counted += 1;
             }
@@ -147,13 +151,17 @@ fn time_schedule_never_fires_before_interval() {
     for _ in 0..32 {
         let interval = 1 + gen.below(999);
         let gaps = 1 + gen.below(99);
-        let mut s = TimeSchedule::new(interval as f64);
+        let params = SchemeParams {
+            time_interval_cycles: interval as f64,
+            ..SchemeParams::scaled(0.01)
+        };
+        let mut s = Schedule::new(SchemeKind::Time, DomainTier::Sensitive, &params).unwrap();
         let mut now = 0.0;
         let mut last_fire = f64::NEG_INFINITY;
         let mut fired_any = false;
         for _ in 0..gaps {
             now += (1 + gen.below(199)) as f64;
-            if s.on_retire(Labeled::secret(now)) == ScheduleEvent::Assess {
+            if s.on_progress(now, 1) {
                 if fired_any {
                     // Two firings are separated by at least one interval
                     // minus the step quantization.

@@ -24,101 +24,6 @@ use untangle_obs as obs;
 use crate::channel::Channel;
 use crate::{kernels, Dist, InfoError, Result};
 
-/// Outcome of the generic Dinkelbach iteration ([`solve_ratio`]).
-#[derive(Debug, Clone)]
-pub struct RatioSolution<Z> {
-    /// The maximizing argument.
-    pub argument: Z,
-    /// The converged ratio `N(z)/D(z)`.
-    pub ratio: f64,
-    /// Outer iterations performed.
-    pub outer_iterations: usize,
-    /// Final helper value `F(q) = max_z N(z) − q·D(z)` (≈ 0 at the
-    /// optimum).
-    pub residual: f64,
-}
-
-/// Generic single-ratio fractional programming via Dinkelbach's
-/// transform (Appendix A, Problem A.12): maximizes `N(z)/D(z)` with
-/// `D(z) > 0`, given an oracle `inner_max(q, warm_start)` solving the
-/// parameterized problem `max_z { N(z) − q·D(z) }`.
-///
-/// The iteration sets `q₁ = 0`, `z_i = inner_max(q_i)`, and
-/// `q_{i+1} = N(z_i)/D(z_i)`; it converges because `F(q)` is strictly
-/// decreasing with `F(q*) = 0` exactly at the optimal ratio.
-///
-/// # Errors
-///
-/// Returns [`InfoError::NoConvergence`] if `F(q)` does not drop below
-/// `tolerance` within `max_outer` iterations, and
-/// [`InfoError::InvalidDistribution`] if the denominator is not
-/// positive at an iterate. (The specialised [`RmaxSolver`] never surfaces
-/// `NoConvergence`; it degrades to a [`SolveStatus::Bracketed`] result
-/// instead. This generic entry point keeps the error because it has no
-/// channel structure from which to derive a sound fallback bound.)
-///
-/// # Example
-///
-/// Maximize `(z + 1) / (z² + 1)` over `z ∈ [0, 2]` (optimum at
-/// `z = √2 − 1`, ratio `(√2+1)/2 ≈ 1.2071`), with a grid oracle:
-///
-/// ```
-/// use untangle_info::dinkelbach::solve_ratio;
-///
-/// let n = |z: &f64| z + 1.0;
-/// let d = |z: &f64| z * z + 1.0;
-/// let inner = |q: f64, _warm: &f64| {
-///     // max over a fine grid of N(z) − q·D(z)
-///     let helper = |z: f64| z + 1.0 - q * (z * z + 1.0);
-///     (0..=2000)
-///         .map(|i| i as f64 / 1000.0)
-///         .fold(0.0_f64, |best, z| if helper(z) > helper(best) { z } else { best })
-/// };
-/// let sol = solve_ratio(0.0, n, d, inner, 1e-9, 64)?;
-/// assert!((sol.ratio - 1.2071).abs() < 1e-3);
-/// assert!((sol.argument - 0.4142).abs() < 1e-2);
-/// # Ok::<(), untangle_info::InfoError>(())
-/// ```
-pub fn solve_ratio<Z, N, D, M>(
-    initial: Z,
-    numerator: N,
-    denominator: D,
-    mut inner_max: M,
-    tolerance: f64,
-    max_outer: usize,
-) -> Result<RatioSolution<Z>>
-where
-    N: Fn(&Z) -> f64,
-    D: Fn(&Z) -> f64,
-    M: FnMut(f64, &Z) -> Z,
-{
-    let mut q = 0.0;
-    let mut z = initial;
-    let mut residual = f64::INFINITY;
-    for outer in 1..=max_outer {
-        let z_star = inner_max(q, &z);
-        residual = numerator(&z_star) - q * denominator(&z_star);
-        z = z_star;
-        if residual < tolerance {
-            return Ok(RatioSolution {
-                ratio: q.max(numerator(&z) / denominator(&z)),
-                argument: z,
-                outer_iterations: outer,
-                residual,
-            });
-        }
-        let d = denominator(&z);
-        if d <= 0.0 {
-            return Err(InfoError::InvalidDistribution(d));
-        }
-        q = numerator(&z) / d;
-    }
-    Err(InfoError::NoConvergence {
-        iterations: max_outer,
-        residual,
-    })
-}
-
 /// Tunables for the Dinkelbach solver and the inner mirror-ascent loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DinkelbachOptions {
@@ -1029,46 +934,6 @@ mod tests {
         let ch =
             Channel::new(ChannelConfig::evenly_spaced(cooldown, n, step, delay).unwrap()).unwrap();
         RmaxSolver::new(ch).solve().unwrap()
-    }
-
-    #[test]
-    fn generic_solve_ratio_matches_direct_grid() {
-        // max (3z − z³)/(z + 1) on [0, 1.5]: compare against brute force.
-        let n = |z: &f64| 3.0 * z - z * z * z;
-        let d = |z: &f64| z + 1.0;
-        let grid = || (0..=3000).map(|i| i as f64 / 2000.0);
-        let inner = |q: f64, _w: &f64| {
-            grid()
-                .max_by(|a, b| {
-                    let fa = n(a) - q * d(a);
-                    let fb = n(b) - q * d(b);
-                    fa.partial_cmp(&fb).unwrap()
-                })
-                .unwrap()
-        };
-        let sol = solve_ratio(0.0, n, d, inner, 1e-10, 64).unwrap();
-        let brute = grid()
-            .map(|z| n(&z) / d(&z))
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!(
-            (sol.ratio - brute).abs() < 1e-6,
-            "{} vs {}",
-            sol.ratio,
-            brute
-        );
-    }
-
-    #[test]
-    fn generic_solve_ratio_reports_no_convergence() {
-        // An inner oracle that ignores q never reduces F below tolerance
-        // when the ratio at its answer keeps changing... use a broken
-        // oracle returning a point with F stuck above tolerance.
-        let n = |_: &f64| 1.0;
-        let d = |z: &f64| *z;
-        let inner = |_q: f64, _w: &f64| 0.5; // F(q) = 1 − 0.5q: needs q = 2
-                                             // With max_outer = 1 the iteration cannot reach q = 2.
-        let r = solve_ratio(1.0, n, d, inner, 1e-12, 1);
-        assert!(matches!(r, Err(InfoError::NoConvergence { .. })));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   `d_y = d_x + δ_i − δ_{i−1}` (§5.3.3).
 //! * [`capacity`] — Blahut–Arimoto channel capacity, an independent
 //!   cross-check of the channel machinery.
-//! * [`dinkelbach`] — a generic single-ratio fractional-programming solver
-//!   (Dinkelbach's transform) plus the concave inner maximizer used to
-//!   compute the maximum data rate `R'_max` (Appendix A).
+//! * [`dinkelbach`] — the `R'_max` solver: Dinkelbach's transform of the
+//!   single-ratio fractional program for the maximum data rate, with
+//!   its concave inner maximizer (Appendix A).
 //! * [`kernels`] — the scalar f64 kernels under the solver hot path
 //!   (entropy, softmax, reductions, matrix apply), bit-compatible with
 //!   the historical loops.

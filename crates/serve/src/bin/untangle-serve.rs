@@ -44,58 +44,68 @@ use untangle_obs::{self as obs};
 use untangle_serve::synth::{synth_events, SynthConfig};
 use untangle_serve::{DurableServer, Event, ServeConfig, ServeEngine};
 
-/// Parsed command line.
+/// What the daemon was asked to do.
+enum Mode {
+    /// Render a synthetic event stream (fixture mode).
+    Synth(SynthConfig),
+    /// Serve the events of a replay file.
+    Replay(String),
+    /// Serve the events of a replay file crash-consistently: journal
+    /// them to `state_dir` and write the decision stream to `out`.
+    Wal {
+        replay: String,
+        state_dir: String,
+        out: String,
+    },
+}
+
+/// The options beside the mode.
 struct Args {
-    replay: Option<String>,
-    synth_domains: Option<u64>,
-    synth_rounds: u64,
-    synth_time: bool,
-    synth_tainted_every: u64,
-    synth_budget_every: u64,
-    seed: u64,
     shards: usize,
     burst: usize,
     scale: Option<f64>,
+    /// Where [`Mode::Synth`] and [`Mode::Replay`] write (stdout when
+    /// absent); [`Mode::Wal`] carries its own.
     out: Option<String>,
     certify: bool,
-    wal: Option<String>,
     snapshot_every: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        replay: None,
-        synth_domains: None,
-        synth_rounds: 6,
-        synth_time: false,
-        synth_tainted_every: 0,
-        synth_budget_every: 0,
+fn parse_args() -> Result<(Mode, Args), String> {
+    let mut replay = None;
+    let mut synth_domains = None;
+    let mut synth = SynthConfig {
+        domains: 0,
+        rounds: 6,
         seed: 7,
+        include_time: false,
+        tainted_every: 0,
+        budget_every: 0,
+    };
+    let mut wal = None;
+    let mut args = Args {
         shards: obs::env::positive_count("UNTANGLE_SHARDS").unwrap_or(1),
         burst: 512,
         scale: None,
         out: None,
         certify: false,
-        wal: None,
         snapshot_every: 1024,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--synth-domains" => {
-                args.synth_domains = Some(parse_num(&value("--synth-domains")?)?);
-            }
-            "--synth-rounds" => args.synth_rounds = parse_num(&value("--synth-rounds")?)?,
-            "--synth-time" => args.synth_time = true,
+            "--replay" => replay = Some(value("--replay")?),
+            "--synth-domains" => synth_domains = Some(parse_num(&value("--synth-domains")?)?),
+            "--synth-rounds" => synth.rounds = parse_num(&value("--synth-rounds")?)?,
+            "--synth-time" => synth.include_time = true,
             "--synth-tainted-every" => {
-                args.synth_tainted_every = parse_num(&value("--synth-tainted-every")?)?;
+                synth.tainted_every = parse_num(&value("--synth-tainted-every")?)?;
             }
             "--synth-budget-every" => {
-                args.synth_budget_every = parse_num(&value("--synth-budget-every")?)?;
+                synth.budget_every = parse_num(&value("--synth-budget-every")?)?;
             }
-            "--seed" => args.seed = parse_num(&value("--seed")?)?,
+            "--seed" => synth.seed = parse_num(&value("--seed")?)?,
             "--shards" => {
                 args.shards = parse_num::<usize>(&value("--shards")?)?;
                 if args.shards == 0 {
@@ -112,31 +122,40 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = Some(value("--out")?),
             "--certify" => args.certify = true,
-            "--wal" => args.wal = Some(value("--wal")?),
+            "--wal" => wal = Some(value("--wal")?),
             "--snapshot-every" => {
                 args.snapshot_every = parse_num::<u64>(&value("--snapshot-every")?)?.max(1);
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.replay.is_some() && args.synth_domains.is_some() {
-        return Err("--replay and --synth-domains are mutually exclusive".to_string());
-    }
-    if args.replay.is_none() && args.synth_domains.is_none() {
-        return Err(
-            "nothing to do: pass --replay FILE or --synth-domains N (see the module docs)"
-                .to_string(),
-        );
-    }
-    if args.wal.is_some() {
-        if args.replay.is_none() || args.out.is_none() {
-            return Err("--wal requires --replay FILE and --out FILE".to_string());
+    let mode = match (replay, synth_domains, wal) {
+        (Some(_), Some(_), _) => {
+            return Err("--replay and --synth-domains are mutually exclusive".to_string())
         }
-        if args.certify {
-            return Err("--certify is not supported with --wal".to_string());
+        (None, None, _) => {
+            return Err(
+                "nothing to do: pass --replay FILE or --synth-domains N (see the module docs)"
+                    .to_string(),
+            )
         }
-    }
-    Ok(args)
+        (replay, _, Some(state_dir)) => {
+            let (Some(replay), Some(out)) = (replay, args.out.take()) else {
+                return Err("--wal requires --replay FILE and --out FILE".to_string());
+            };
+            if args.certify {
+                return Err("--certify is not supported with --wal".to_string());
+            }
+            Mode::Wal {
+                replay,
+                state_dir,
+                out,
+            }
+        }
+        (Some(replay), None, None) => Mode::Replay(replay),
+        (None, Some(domains), None) => Mode::Synth(SynthConfig { domains, ..synth }),
+    };
+    Ok((mode, args))
 }
 
 fn parse_num<T: std::str::FromStr>(raw: &str) -> Result<T, String>
@@ -168,38 +187,27 @@ fn write_lines(out: Option<&str>, lines: &[String]) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let (mode, args) = parse_args()?;
     let config = config_for(&args)?;
 
-    if let Some(domains) = args.synth_domains {
-        let synth = SynthConfig {
-            domains,
-            rounds: args.synth_rounds,
-            seed: args.seed,
-            include_time: args.synth_time,
-            tainted_every: args.synth_tainted_every,
-            budget_every: args.synth_budget_every,
-        };
-        let lines: Vec<String> = synth_events(&config.params, &synth)
-            .iter()
-            .map(Event::render)
-            .collect();
-        return write_lines(args.out.as_deref(), &lines);
-    }
-
-    let path = args
-        .replay
-        .as_deref()
-        .expect("parse_args guarantees a mode");
+    let path = match &mode {
+        Mode::Synth(synth) => {
+            let lines: Vec<String> = synth_events(&config.params, synth)
+                .iter()
+                .map(Event::render)
+                .collect();
+            return write_lines(args.out.as_deref(), &lines);
+        }
+        Mode::Replay(path) | Mode::Wal { replay: path, .. } => path,
+    };
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let events = Event::parse_stream(&text).map_err(|e| e.to_string())?;
 
-    if let Some(state_dir) = args.wal.as_deref() {
-        let out_path = args.out.as_deref().expect("parse_args requires --out");
+    if let Mode::Wal { state_dir, out, .. } = &mode {
         let (mut server, recovery) = DurableServer::open(
             config,
             std::path::Path::new(state_dir),
-            std::path::Path::new(out_path),
+            std::path::Path::new(out),
             args.burst,
             args.snapshot_every,
         )

@@ -6,8 +6,8 @@
 //! * [`synth_events`] — a purely synthetic multi-tenant stream (no
 //!   simulator involved): thousands of domains, mixed schemes and
 //!   Maintain credits, optional tainted payloads and tiny per-tenant
-//!   budgets. This is what the shard-invariance property test and
-//!   `serve_bench` feed the engine.
+//!   budgets. This is what the shard-invariance property test and the
+//!   benchmark's serve workloads feed the engine.
 //! * [`tap_replay`] — the acceptance harness: run single-domain batch
 //!   [`Runner`]s with the telemetry tap, convert every exported
 //!   [`TelemetrySample`] into a wire [`Telemetry`] event, and return

@@ -15,12 +15,10 @@
 //!   sliding window of the last `M_w` retired public memory
 //!   instructions, plus the lookahead partition chooser that maximizes
 //!   global hits.
-//! * [`smt`] — the §6.3 SMT generality demonstration: partitioned
-//!   functional-unit issue slots, SecSMT-style full-event counting,
-//!   and Untangle's timing-independent instruction-mix metric.
 //! * [`tlb`] — the §6.3 generality demonstration: a page-granular TLB
 //!   twin of the LLC machinery (resizable TLB slices and a
-//!   timing-independent TLB utility monitor).
+//!   timing-independent TLB utility monitor), resized by the same
+//!   schedule and leakage accountant as the LLC.
 //! * [`timing`] — a trace-driven timing model: base CPI at the commit
 //!   width plus level-dependent miss penalties with a bounded
 //!   memory-level-parallelism overlap factor.
@@ -52,7 +50,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod smt;
 pub mod stats;
 pub mod system;
 pub mod timing;

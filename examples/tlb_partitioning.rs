@@ -3,18 +3,24 @@
 //!
 //! The framework pieces are resource-agnostic: a timing-independent
 //! utilization metric (here, TLB hits under every candidate slice
-//! size), a progress-based schedule with a structural cooldown, and
-//! the `R_max` rate table. Only the substrate changes.
+//! size), the progress-based schedule of an Untangle domain, and the
+//! leakage accountant with its `R_max` rate table. Only the substrate
+//! changes; a one-domain `System` supplies the domain clock the
+//! accountant prices elapsed time on. The loop applies no random action
+//! delay, so it sets `delay_max_cycles: 0`.
 //!
 //! ```sh
 //! cargo run --release --example tlb_partitioning
 //! ```
 
-use untangle::core::schedule::{ProgressSchedule, ScheduleEvent};
-use untangle::info::rate_table::{RateTable, RateTableConfig};
-use untangle::info::DelayDist;
+use std::cmp::Ordering;
+
+use untangle::core::action::ActionClass;
+use untangle::core::leakage::{BudgetGate, LeakageAccountant};
+use untangle::core::schedule::Schedule;
+use untangle::core::scheme::{DomainTier, SchemeKind, SchemeParams};
 use untangle::sim::tlb::{Tlb, TlbUtilityMonitor, TLB_SIZES};
-use untangle::trace::source::TraceSource;
+use untangle::sim::{LlcMode, MachineConfig, System};
 use untangle::trace::synth::{WorkingSetConfig, WorkingSetModel};
 
 fn main() {
@@ -31,22 +37,24 @@ fn main() {
         17,
     );
 
+    let params = SchemeParams {
+        progress_interval_instrs: 100_000,
+        delay_max_cycles: 0,
+        ..SchemeParams::scaled(0.01)
+    };
+    let machine = MachineConfig::default();
+    let commit_width = machine.timing.commit_width;
+    let mut schedule = Schedule::new(SchemeKind::Untangle, DomainTier::Sensitive, &params)
+        .expect("positive interval");
+    // The same covert-channel machinery prices the TLB resizes.
+    let accounting = params
+        .accounting(SchemeKind::Untangle, commit_width)
+        .expect("rate table converges");
+    let mut accountant = LeakageAccountant::new(accounting, params.leakage_budget_bits);
+    let mut system = System::new(machine, 1, LlcMode::Partitioned);
     let mut tlb = Tlb::new(64); // start with a small slice
     let mut monitor = TlbUtilityMonitor::new(8192);
-    let mut schedule = ProgressSchedule::new(100_000);
-    // The same covert-channel machinery prices the TLB resizes.
-    let table = RateTable::precompute(&RateTableConfig {
-        cooldown: 16,
-        n_symbols: 8,
-        step: 8,
-        delay: DelayDist::uniform(8).expect("valid width"),
-        max_maintains: 8,
-    })
-    .expect("precompute converges");
 
-    let mut charged_bits = 0.0;
-    let mut maintains_in_a_row = 0usize;
-    let mut resizes = 0;
     println!(
         "{:>10} {:>9} {:>10} {:>12}",
         "instrs", "TLB size", "hit rate", "charged bits"
@@ -54,47 +62,50 @@ fn main() {
     for step in 1..=10u64 {
         let mut hits = 0u64;
         let mut accesses = 0u64;
-        loop {
-            let instr = workload.next_instr().expect("infinite source");
-            if let Some(access) = instr.mem_access() {
+        let now = loop {
+            let event = system.step(0, &mut workload).expect("infinite source");
+            if let Some(access) = event.instr.mem_access() {
                 accesses += 1;
                 if tlb.translate(access.addr) {
                     hits += 1;
                 }
-                if instr.counts_toward_utilization() {
+                if event.instr.counts_toward_utilization() {
                     monitor.observe(access.addr);
                 }
             }
-            if instr.counts_toward_progress()
-                && schedule.on_retire(untangle::core::taint::Labeled::public(true))
-                    == ScheduleEvent::Assess
-            {
-                break;
+            let progress = u64::from(event.instr.counts_toward_progress());
+            if schedule.on_progress(event.cycles, progress) {
+                break event.cycles;
             }
-        }
-        // Assessment: the smallest adequate slice per the monitor.
-        let target = monitor.adequate_entries(monitor.window_fill() as u64 / 50);
-        if target != tlb.entries() {
-            // Visible action: charge the rate-table bound for the
-            // elapsed period ((maintains+1) cooldowns, by construction).
-            charged_bits +=
-                table.rate(maintains_in_a_row) * 16.0 * (maintains_in_a_row as f64 + 1.0);
-            maintains_in_a_row = 0;
+        };
+        // Assessment: the smallest adequate slice per the monitor, as
+        // far as the leakage budget allows.
+        let target = match accountant.gate(now) {
+            BudgetGate::Skip => continue,
+            BudgetGate::MaintainOnly => tlb.entries(),
+            BudgetGate::Proceed => monitor.adequate_entries(monitor.window_fill() as u64 / 50),
+        };
+        let class = match target.cmp(&tlb.entries()) {
+            Ordering::Greater => ActionClass::Expand,
+            Ordering::Equal => ActionClass::Maintain,
+            Ordering::Less => ActionClass::Shrink,
+        };
+        // A visible action pays for the time since the last one.
+        accountant.on_assessment(class, now);
+        if class.is_visible() {
             tlb.resize(target);
-            resizes += 1;
-        } else {
-            maintains_in_a_row += 1;
         }
         println!(
             "{:>10} {:>9} {:>9.1}% {:>12.3}",
-            step * 100_000,
+            step * params.progress_interval_instrs,
             tlb.entries(),
             hits as f64 / accesses.max(1) as f64 * 100.0,
-            charged_bits,
+            accountant.report().total_bits,
         );
     }
     println!(
-        "\n{resizes} resizes; final slice {} of {} supported sizes {:?}",
+        "\n{} resizes; final slice {} of {} supported sizes {:?}",
+        accountant.report().visible_actions,
         tlb.entries(),
         TLB_SIZES.len(),
         TLB_SIZES
