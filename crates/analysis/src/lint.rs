@@ -185,8 +185,9 @@ pub struct LintConfig {
 /// Where a file sits in the workspace, which decides rule applicability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileScope {
-    /// Under `crates/core/src`, `crates/info/src`, `crates/obs/src`, or
-    /// `crates/analysis/src` — the panic-free zone.
+    /// Under `crates/core/src`, `crates/info/src`, `crates/obs/src`,
+    /// `crates/analysis/src`, `crates/trace/src`, or
+    /// `crates/durable/src` — the panic-free zone.
     pub panic_free_crate: bool,
     /// Under the bench crate, whose harness legitimately measures wall
     /// time.
@@ -226,7 +227,9 @@ impl FileScope {
             panic_free_crate: under_src_of("core")
                 || under_src_of("info")
                 || under_src_of("obs")
-                || under_src_of("analysis"),
+                || under_src_of("analysis")
+                || under_src_of("trace")
+                || under_src_of("durable"),
             bench_crate: under(&["crates", "bench"]),
             driver_bin: under(&["crates", "bench", "src", "bin"])
                 || under(&["crates", "serve", "src", "bin"]),
@@ -1203,6 +1206,8 @@ fn esc() -> char { '\n' }
     #[test]
     fn scope_detection() {
         assert!(FileScope::of(Path::new("crates/info/src/dist.rs")).panic_free_crate);
+        assert!(FileScope::of(Path::new("crates/trace/src/file.rs")).panic_free_crate);
+        assert!(FileScope::of(Path::new("crates/durable/src/wal.rs")).panic_free_crate);
         assert!(!FileScope::of(Path::new("crates/sim/src/stats.rs")).panic_free_crate);
         assert!(FileScope::of(Path::new("crates/bench/src/report.rs")).bench_crate);
         // The experiment binaries are panic-free; bench library code is

@@ -18,7 +18,8 @@
 use std::path::Path;
 
 use untangle_bench::checkpoint::{CheckpointStore, SweepOutcome};
-use untangle_bench::parallel::RetryPolicy;
+use untangle_bench::harness::timed;
+use untangle_bench::parallel::{self, RetryPolicy};
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::scenarios::{
     run_scenario_sweep, summarize, ScenarioResult, SweepSettings, SweepSummary,
@@ -27,6 +28,7 @@ use untangle_bench::table::{f3, TextTable};
 use untangle_bench::Flags;
 use untangle_core::UntangleError;
 use untangle_obs as obs;
+use untangle_trace::file::MAX_BLOCK_INSTRS;
 
 fn main() {
     if let Err(e) = run() {
@@ -59,6 +61,12 @@ fn settings_from(f: &mut Flags) -> Result<SweepSettings, UntangleError> {
             "--count, --trace-instrs, --block, --interval, and --slices must be positive"
                 .to_string(),
         ));
+    }
+    if settings.block_instrs > MAX_BLOCK_INSTRS {
+        return Err(UntangleError::InvalidConfig(format!(
+            "--block {} exceeds the trace format's cap of {MAX_BLOCK_INSTRS}",
+            settings.block_instrs
+        )));
     }
     if settings.interval_instrs > settings.trace_instrs {
         return Err(UntangleError::InvalidConfig(format!(
@@ -115,7 +123,12 @@ fn print_summary(summary: &SweepSummary, outcome: &SweepOutcome<ScenarioResult>)
     );
 }
 
-fn section_json(summary: &SweepSummary, settings: &SweepSettings, resumed: usize) -> Json {
+fn section_json(
+    summary: &SweepSummary,
+    settings: &SweepSettings,
+    resumed: usize,
+    wall_clock_s: f64,
+) -> Json {
     Json::obj(vec![
         (
             "settings",
@@ -131,6 +144,8 @@ fn section_json(summary: &SweepSummary, settings: &SweepSettings, resumed: usize
                 ("validate_every", Json::Int(settings.validate_every as i64)),
             ]),
         ),
+        ("threads", Json::Int(parallel::thread_count() as i64)),
+        ("wall_clock_s", Json::Num(wall_clock_s)),
         ("scenarios", Json::Int(summary.scenarios as i64)),
         ("completed", Json::Int(summary.completed as i64)),
         ("resumed", Json::Int(resumed as i64)),
@@ -191,13 +206,16 @@ fn run() -> Result<(), UntangleError> {
 
     let out_dir = Path::new(&out);
     let store = CheckpointStore::new(out_dir.join("checkpoints"))?;
-    let outcome = run_scenario_sweep(
-        out_dir,
-        &settings,
-        Some(&store),
-        resume,
-        RetryPolicy::new(retries),
-    )?;
+    let (outcome, wall) = timed(|| {
+        run_scenario_sweep(
+            out_dir,
+            &settings,
+            Some(&store),
+            resume,
+            RetryPolicy::new(retries),
+        )
+    });
+    let outcome = outcome?;
 
     for f in &outcome.failures {
         obs::diag!(
@@ -215,7 +233,7 @@ fn run() -> Result<(), UntangleError> {
     let summary = summarize(&outcome.results, &settings);
     print_summary(&summary, &outcome);
 
-    let section = section_json(&summary, &settings, outcome.resumed);
+    let section = section_json(&summary, &settings, outcome.resumed, wall.as_secs_f64());
     update_section(
         Path::new("BENCH_experiments.json"),
         "exp_scenarios",

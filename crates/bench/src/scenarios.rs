@@ -17,14 +17,21 @@
 //!    prefix replays with measurement off, so both the cache and the
 //!    scheme's partition state are reconstructed before the measured
 //!    window — which then aligns *exactly* with the representative
-//!    interval. Per-slice results combine by cluster weight in *CPI*
-//!    space ([`untangle_sim::stats::weighted_mean`] over cycles per
+//!    interval. The replay is slice-major: each slice's blocks are read
+//!    from disk once into a [`SliceBuffer`](untangle_trace::file::SliceBuffer)
+//!    and all five schemes replay it from memory. Per-slice results
+//!    combine by cluster weight in *CPI* space
+//!    ([`untangle_sim::stats::weighted_mean`] over cycles per
 //!    instruction): intervals hold instructions constant, so cycles —
 //!    not IPC — are what add across the trace.
 //! 4. **Validate** every `validate_every`-th scenario against a
-//!    full-trace run under the same warmup treatment, recording the
-//!    sampled-vs-full IPC and leakage error
-//!    ([`untangle_sim::stats::relative_error`]).
+//!    full-trace run under the same warmup treatment, streamed from
+//!    disk a block at a time, recording the sampled-vs-full IPC and
+//!    leakage error ([`untangle_sim::stats::relative_error`]).
+//!
+//! Steps 2–4 cut every stream from one [`TraceFile`] handle, so the
+//! trace is scanned once per scenario, and fail the scenario when a
+//! read error poisons that handle.
 //!
 //! The sweep runs through the same engine as the mix sweep,
 //! [`crate::checkpoint::run_sweep`]: completed scenarios checkpoint
@@ -33,6 +40,7 @@
 //! checkpoint into a differently-configured sweep.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use untangle_core::runner::{DomainReport, Runner, RunnerConfig};
 use untangle_core::scheme::SchemeKind;
@@ -41,7 +49,7 @@ use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::stats::{relative_error, stable_sum, weighted_mean};
 use untangle_trace::bbv::{interval_vectors, BbvConfig};
-use untangle_trace::file::{FileSource, TraceFileError, TraceWriter};
+use untangle_trace::file::{FileSource, TraceFile, TraceFileError, TraceWriter};
 use untangle_trace::simpoint::{choose_slices, SimPointConfig, Slice};
 use untangle_trace::TraceSource;
 use untangle_workloads::scenario::{scenario_set, Scenario};
@@ -235,6 +243,13 @@ pub fn generate_trace(
         }
         untangle_trace::file::Resume::Fresh => 0,
         untangle_trace::file::Resume::Partial { instrs } => {
+            if instrs > settings.trace_instrs {
+                return Err(UntangleError::InvalidConfig(format!(
+                    "unfinished trace {} already holds {instrs} instructions, sweep wants {}",
+                    path.display(),
+                    settings.trace_instrs
+                )));
+            }
             obs::counter_add("scenarios.traces_resumed", 1);
             obs::diag!(
                 "resuming {} at instruction {instrs} of {}",
@@ -267,17 +282,30 @@ pub fn generate_trace(
 }
 
 /// Profiles a finished trace and picks its weighted representative
-/// slices.
+/// slices: [`TraceFile::open`] then [`sample_trace`].
 ///
 /// # Errors
 ///
-/// [`UntangleError`] if the trace cannot be opened or the read stream
-/// poisons mid-profile.
+/// As [`sample_trace`], plus if the trace cannot be opened.
 pub fn sample_slices(path: &Path, settings: &SweepSettings) -> Result<Vec<Slice>, UntangleError> {
-    let mut source = FileSource::open(path).map_err(trace_err)?;
-    let total = source.info().total_instrs;
+    sample_trace(&TraceFile::open(path).map_err(trace_err)?, settings)
+}
+
+/// Profiles an opened trace — one disk stream over the whole file —
+/// and picks its weighted representative slices.
+///
+/// # Errors
+///
+/// [`UntangleError`] if the profile stream cannot be opened or poisons
+/// mid-profile.
+pub fn sample_trace(
+    trace: &TraceFile,
+    settings: &SweepSettings,
+) -> Result<Vec<Slice>, UntangleError> {
+    let mut source = trace.stream(0, u64::MAX).map_err(trace_err)?;
+    let total = trace.info().total_instrs;
     let vectors = interval_vectors(&mut source, &settings.bbv_config());
-    if let Some(e) = source.poisoned() {
+    if let Some(e) = trace.poisoned() {
         return Err(trace_err(e.clone()));
     }
     // Cluster only the intervals the full-trace reference measures:
@@ -301,38 +329,37 @@ pub fn sample_slices(path: &Path, settings: &SweepSettings) -> Result<Vec<Slice>
     Ok(slices)
 }
 
-fn single_domain_run(
-    config: RunnerConfig,
-    source: Box<dyn TraceSource>,
-) -> Result<DomainReport, UntangleError> {
-    let report = Runner::new(config, vec![source])?.run();
-    report
-        .domains
-        .into_iter()
-        .next()
-        .ok_or_else(|| UntangleError::InvalidConfig("runner produced no domains".to_string()))
-}
-
-/// Replays `[offset, offset + len)` of the trace under `kind`: the
-/// warmup prefix runs first with measurement off (instruction-count
-/// warmup, so the measured window starts exactly at `offset`), then the
-/// span is measured. Returns the domain report of the measured span
-/// plus the total instructions simulated (warmup + span — the cost the
-/// sampling is supposed to save).
-fn measured_span(
-    path: &Path,
+/// Replays one stream of `trace` under `kind`: the first `prefix`
+/// instructions run with measurement off (instruction-count warmup, so
+/// the measured window starts exactly after them), then `len` are
+/// measured. Returns the domain report of the measured span.
+///
+/// # Errors
+///
+/// [`UntangleError`] if the runner fails, or if the trace's handle is
+/// poisoned after the run: a read error ended the stream early, and
+/// the estimate it left must not be recorded.
+fn measured_run(
+    trace: &TraceFile,
     kind: SchemeKind,
     settings: &SweepSettings,
-    offset: u64,
+    prefix: u64,
     len: u64,
-) -> Result<(DomainReport, u64), UntangleError> {
-    let prefix = settings.warmup_instrs().min(offset);
+    source: FileSource,
+) -> Result<DomainReport, UntangleError> {
     let mut config = settings.runner_config(kind);
     config.warmup_instrs = Some(prefix);
     config.slice_instrs = len;
-    let source = FileSource::open_slice(path, offset - prefix, prefix + len).map_err(trace_err)?;
-    let report = single_domain_run(config, Box::new(source))?;
-    Ok((report, prefix + len))
+    let report = Runner::new(config, vec![Box::new(source)])?
+        .run()
+        .domains
+        .into_iter()
+        .next()
+        .ok_or_else(|| UntangleError::InvalidConfig("runner produced no domains".to_string()))?;
+    match trace.poisoned() {
+        Some(e) => Err(trace_err(e.clone())),
+        None => Ok(report),
+    }
 }
 
 /// One scheme's sampled estimate for a scenario.
@@ -531,43 +558,69 @@ impl Checkpoint for ScenarioResult {
     }
 }
 
-fn estimate_scheme(
-    path: &Path,
-    kind: SchemeKind,
+/// One scheme's per-slice results, pushed in slice order.
+#[derive(Debug, Default)]
+struct SliceSums {
+    cpi_pairs: Vec<(f64, f64)>,
+    bit_pairs: Vec<(f64, f64)>,
+    assess_pairs: Vec<(f64, f64)>,
+    assessments: u64,
+    maintains: u64,
+    simulated: u64,
+}
+
+/// Estimates every scheme in [`SCHEMES`] order from the weighted slices,
+/// slice by slice: each slice — its warmup prefix plus span — is read
+/// from disk once into one shared buffer, and every scheme replays it
+/// from there.
+fn estimate_schemes(
+    trace: &TraceFile,
     slices: &[Slice],
     settings: &SweepSettings,
-) -> Result<SchemeEstimate, UntangleError> {
-    // Every slice measures the same number of instructions, so the
-    // full-trace IPC (total instructions over total cycles) is the
-    // weight-combined *CPI*, not IPC: cycles add across intervals while
-    // a high-IPC slice contributes few of them. Averaging IPC directly
-    // overestimates phase-shifting traces by the arithmetic/harmonic
-    // mean gap (nearly 2x on synthetic phase traces). Leakage combines
-    // the same way: weighted total bits over weighted total
-    // assessments, since both are per-interval counts.
-    let mut cpi_pairs = Vec::with_capacity(slices.len());
-    let mut bit_pairs = Vec::with_capacity(slices.len());
-    let mut assess_pairs = Vec::with_capacity(slices.len());
-    let mut assessments = 0u64;
-    let mut maintains = 0u64;
-    let mut simulated = 0u64;
+) -> Result<Vec<SchemeEstimate>, UntangleError> {
+    let path = trace.path();
+    let mut sums: Vec<SliceSums> = SCHEMES.iter().map(|_| SliceSums::default()).collect();
+    let mut buffer = Arc::new(trace.slice_buffer());
     for slice in slices {
-        let (report, instrs) =
-            measured_span(path, kind, settings, slice.offset_instrs, slice.len_instrs)?;
-        let ipc = report.ipc();
-        if !(ipc.is_finite() && ipc > 0.0) {
-            return Err(UntangleError::InvalidConfig(format!(
-                "slice at instruction {} of {} measured a non-positive IPC ({ipc})",
-                slice.offset_instrs,
-                path.display()
-            )));
+        let prefix = settings.warmup_instrs().min(slice.offset_instrs);
+        Arc::make_mut(&mut buffer)
+            .fill(slice.offset_instrs - prefix, prefix + slice.len_instrs)
+            .map_err(trace_err)?;
+        for (kind, sums) in SCHEMES.iter().zip(&mut sums) {
+            let report = measured_run(
+                trace,
+                *kind,
+                settings,
+                prefix,
+                slice.len_instrs,
+                buffer.replay(),
+            )?;
+            let ipc = report.ipc();
+            if !(ipc.is_finite() && ipc > 0.0) {
+                return Err(UntangleError::InvalidConfig(format!(
+                    "slice at instruction {} of {} measured a non-positive IPC ({ipc})",
+                    slice.offset_instrs,
+                    path.display()
+                )));
+            }
+            // Every slice measures the same number of instructions, so
+            // the full-trace IPC (total instructions over total cycles)
+            // is the weight-combined *CPI*, not IPC: cycles add across
+            // intervals while a high-IPC slice contributes few of them.
+            // Averaging IPC directly overestimates phase-shifting traces
+            // by the arithmetic/harmonic mean gap (nearly 2x on synthetic
+            // phase traces). Leakage combines the same way: weighted
+            // total bits over weighted total assessments, since both are
+            // per-interval counts.
+            sums.cpi_pairs.push((ipc.recip(), slice.weight));
+            sums.bit_pairs
+                .push((report.leakage.total_bits, slice.weight));
+            sums.assess_pairs
+                .push((report.leakage.assessments as f64, slice.weight));
+            sums.assessments += report.leakage.assessments;
+            sums.maintains += report.leakage.maintains;
+            sums.simulated += prefix + slice.len_instrs;
         }
-        cpi_pairs.push((ipc.recip(), slice.weight));
-        bit_pairs.push((report.leakage.total_bits, slice.weight));
-        assess_pairs.push((report.leakage.assessments as f64, slice.weight));
-        assessments += report.leakage.assessments;
-        maintains += report.leakage.maintains;
-        simulated += instrs;
     }
     let combined = |pairs: &[(f64, f64)]| -> Result<f64, UntangleError> {
         weighted_mean(pairs).ok_or_else(|| {
@@ -578,30 +631,46 @@ fn estimate_scheme(
             ))
         })
     };
-    let mean_assess = combined(&assess_pairs)?;
-    let bits_per_assessment = if mean_assess > 0.0 {
-        combined(&bit_pairs)? / mean_assess
-    } else {
-        0.0
-    };
-    Ok(SchemeEstimate {
-        kind: kind.name().to_string(),
-        ipc: combined(&cpi_pairs)?.recip(),
-        bits_per_assessment,
-        assessments,
-        maintains,
-        simulated_instrs: simulated,
-    })
+    SCHEMES
+        .iter()
+        .zip(sums)
+        .map(|(kind, sums)| {
+            let mean_assess = combined(&sums.assess_pairs)?;
+            let bits_per_assessment = if mean_assess > 0.0 {
+                combined(&sums.bit_pairs)? / mean_assess
+            } else {
+                0.0
+            };
+            Ok(SchemeEstimate {
+                kind: kind.name().to_string(),
+                ipc: combined(&sums.cpi_pairs)?.recip(),
+                bits_per_assessment,
+                assessments: sums.assessments,
+                maintains: sums.maintains,
+                simulated_instrs: sums.simulated,
+            })
+        })
+        .collect()
 }
 
+/// Measures `kind` over the whole trace after the warmup prefix — a
+/// disk stream, one block at a time — and compares `estimate` with it.
 fn validate_scheme(
-    path: &Path,
+    trace: &TraceFile,
     kind: SchemeKind,
     estimate: &SchemeEstimate,
     settings: &SweepSettings,
 ) -> Result<SchemeValidation, UntangleError> {
     let warmup = settings.warmup_instrs().min(settings.trace_instrs);
-    let (full, _) = measured_span(path, kind, settings, warmup, settings.trace_instrs - warmup)?;
+    let source = trace.stream(0, settings.trace_instrs).map_err(trace_err)?;
+    let full = measured_run(
+        trace,
+        kind,
+        settings,
+        warmup,
+        settings.trace_instrs - warmup,
+        source,
+    )?;
     let full_ipc = full.ipc();
     let full_bits = full.leakage.bits_per_assessment();
     let err = |est: f64, reference: f64| -> Result<f64, UntangleError> {
@@ -621,9 +690,11 @@ fn validate_scheme(
     })
 }
 
-/// Runs one scenario end to end: generate (or resume) the trace, pick
-/// slices, estimate every scheme, and — when `validate` — measure the
-/// estimates against full-trace references.
+/// Runs one scenario end to end: generate (or resume) the trace, open
+/// it once, pick slices, estimate every scheme, and — when `validate` —
+/// measure the estimates against full-trace references. Every stream
+/// is cut from the one [`TraceFile`] handle, and each slice is read
+/// from disk once for all schemes.
 ///
 /// # Errors
 ///
@@ -636,21 +707,19 @@ pub fn evaluate_scenario(
     validate: bool,
 ) -> Result<ScenarioResult, UntangleError> {
     let path = generate_trace(trace_dir, scenario, settings)?;
-    let slices = sample_slices(&path, settings)?;
+    let trace = TraceFile::open(&path).map_err(trace_err)?;
+    let slices = sample_trace(&trace, settings)?;
     if slices.is_empty() {
         return Err(UntangleError::InvalidConfig(format!(
             "sampler produced no slices for {}",
             scenario.name()
         )));
     }
-    let mut schemes = Vec::with_capacity(SCHEMES.len());
-    for kind in SCHEMES {
-        schemes.push(estimate_scheme(&path, kind, &slices, settings)?);
-    }
+    let schemes = estimate_schemes(&trace, &slices, settings)?;
     let mut validation = Vec::new();
     if validate {
         for (kind, estimate) in SCHEMES.iter().zip(&schemes) {
-            validation.push(validate_scheme(&path, *kind, estimate, settings)?);
+            validation.push(validate_scheme(&trace, *kind, estimate, settings)?);
         }
     }
     Ok(ScenarioResult {
@@ -904,6 +973,61 @@ mod tests {
             clean,
             "resumed trace must be byte-identical to the uninterrupted one"
         );
+    }
+
+    /// An unfinished trace already longer than the sweep's trace
+    /// length (same header) is refused, not resumed with a negative
+    /// remainder.
+    #[test]
+    fn overlong_partial_trace_is_refused() {
+        let settings = tiny_settings();
+        let dir = temp_dir("gen-overlong");
+        let s = scenario(1);
+        let meta = format!("{} instrs={}", s.meta(), settings.trace_instrs);
+        {
+            let path = trace_path(&dir, &s);
+            let (mut w, _) = TraceWriter::open(&path, settings.block_instrs, &meta).expect("open");
+            w.append_source(&mut s.source(), 8_192).expect("append");
+            // Dropped without finish(): 16 durable blocks, no trailer.
+        }
+        let e = generate_trace(&dir, &s, &settings).expect_err("must refuse");
+        assert!(e.to_string().contains("8192"), "{e}");
+    }
+
+    /// A block corrupted on disk after the handle was opened fails the
+    /// replay that reaches it — the slice read and the full-trace
+    /// stream — instead of recording an estimate from a truncated
+    /// stream.
+    #[test]
+    fn a_read_error_after_open_fails_the_replay() {
+        let settings = tiny_settings();
+        let dir = temp_dir("poisoned");
+        let s = scenario(0);
+        let path = generate_trace(&dir, &s, &settings).expect("generate");
+        let trace = TraceFile::open(&path).expect("open");
+        let slices = sample_trace(&trace, &settings).expect("sample");
+        let estimates = estimate_schemes(&trace, &slices, &settings).expect("estimate");
+
+        // Flip one byte inside the last block's compressed body.
+        let mut bytes = std::fs::read(&path).expect("read");
+        let trailer_frame = 12 + 9;
+        let at = bytes.len() - trailer_frame - 1;
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("corrupt");
+
+        let last = Slice {
+            interval: 0,
+            offset_instrs: settings.trace_instrs - 100,
+            len_instrs: 100,
+            weight: 1.0,
+        };
+        let e = estimate_schemes(&trace, &[last], &settings).expect_err("slice read");
+        assert!(e.to_string().contains("trace_read"), "{e}");
+        assert!(trace.poisoned().is_none(), "the slice read fails directly");
+        let e = validate_scheme(&trace, SCHEMES[0], &estimates[0], &settings)
+            .expect_err("full-trace stream");
+        assert!(e.to_string().contains("checksum"), "{e}");
+        assert!(trace.poisoned().is_some());
     }
 
     #[test]

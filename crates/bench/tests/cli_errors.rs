@@ -81,6 +81,16 @@ fn zero_scale_exits_1_without_writing() {
 }
 
 #[test]
+fn oversized_trace_block_exits_1_without_writing() {
+    // Over the trace format's 2^20-instruction block cap.
+    assert_rejected(
+        "scenarios_block",
+        env!("CARGO_BIN_EXE_exp_scenarios"),
+        &["--smoke", "--block", "1048577"],
+    );
+}
+
+#[test]
 fn unparsable_flag_values_exit_1_without_writing() {
     assert_rejected(
         "mix_one",

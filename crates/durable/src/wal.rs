@@ -72,61 +72,63 @@ impl Wal {
     ///
     /// [`DurableError`] with `op = "wal_open"` on IO failure.
     pub fn open(path: &Path) -> Result<(Wal, WalRecovery), DurableError> {
+        let mut records = Vec::new();
+        let (wal, torn_tail_bytes) = Wal::recover(path, |record| records.push(record.to_vec()))?;
+        Ok((
+            wal,
+            WalRecovery {
+                records,
+                torn_tail_bytes,
+            },
+        ))
+    }
+
+    /// [`Wal::open`] without collecting the records: hands each
+    /// recovered record to `visit`, oldest first, holding one frame in
+    /// memory whatever the log's length. Returns the log, positioned
+    /// for appending, and the torn-tail bytes truncated (see
+    /// [`WalRecovery::torn_tail_bytes`]).
+    ///
+    /// Only a torn or corrupt frame ends the scan, as the truncation
+    /// point; an IO error fails the open.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError`] with `op = "wal_open"` on IO failure.
+    pub fn recover(path: &Path, mut visit: impl FnMut(&[u8])) -> Result<(Wal, u64), DurableError> {
         let err = |reason: &dyn std::fmt::Display| DurableError::new(path, "wal_open", reason);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)
             .map_err(|e| err(&e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(|e| err(&e))?;
-
-        let mut records = Vec::new();
-        let mut valid_end = 0usize;
-        while bytes.len() - valid_end >= HEADER {
-            let at = valid_end;
-            let len = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-            if len > MAX_RECORD {
-                break;
-            }
-            let len = len as usize;
-            let mut sum = [0u8; 8];
-            sum.copy_from_slice(&bytes[at + 4..at + HEADER]);
-            let sum = u64::from_le_bytes(sum);
-            let end = at + HEADER + len;
-            if end > bytes.len() {
-                break;
-            }
-            let payload = &bytes[at + HEADER..end];
-            if fnv1a(payload) != sum {
-                break;
-            }
-            records.push(payload.to_vec());
-            valid_end = end;
+        let mut reader = FrameReader::from_file(file, path).map_err(|e| err(&e.reason))?;
+        let mut frame = Vec::new();
+        while let Scan::Frame = reader.scan(&mut frame).map_err(|e| err(&e.reason))? {
+            visit(&frame);
         }
 
-        let torn_tail_bytes = (bytes.len() - valid_end) as u64;
+        let valid_end = reader.offset;
+        let file_len = reader.len;
+        let mut file = reader.file.into_inner();
+        let torn_tail_bytes = file_len - valid_end;
         if torn_tail_bytes > 0 {
-            file.set_len(valid_end as u64).map_err(|e| err(&e))?;
+            file.set_len(valid_end).map_err(|e| err(&e))?;
             file.sync_all().map_err(|e| err(&e))?;
             obs::counter_add("durable.torn_tails_truncated", 1);
         }
-        if !bytes.is_empty() {
+        if file_len > 0 {
             obs::counter_add("durable.recoveries", 1);
         }
-        file.seek(SeekFrom::Start(valid_end as u64))
-            .map_err(|e| err(&e))?;
+        file.seek(SeekFrom::Start(valid_end)).map_err(|e| err(&e))?;
         Ok((
             Wal {
                 file,
                 path: path.to_path_buf(),
             },
-            WalRecovery {
-                records,
-                torn_tail_bytes,
-            },
+            torn_tail_bytes,
         ))
     }
 
@@ -189,20 +191,29 @@ impl Wal {
     }
 }
 
-/// A read-only streaming scan over a WAL-framed file.
+/// What one step of a frame scan found.
+enum Scan {
+    /// A whole frame whose payload passed its checksum.
+    Frame,
+    /// A clean end of file.
+    End,
+    /// A torn or corrupt frame: recovery's truncation point, a strict
+    /// reader's error.
+    Bad(String),
+}
+
+/// A read-only streaming scan over a WAL-framed file: the one frame
+/// parser behind [`Wal::recover`] and every framed-file reader.
 ///
-/// [`Wal::open`] materializes every record and positions the log for
-/// appending — right for recovery, wrong for consumers that want to
-/// *stream* a large framed file (the `untangle-trace` on-disk format)
-/// without holding it in memory. `FrameReader` reads one frame at a
-/// time, validating each checksum as it goes, and supports random
-/// access by frame offset so a reader can jump straight to a known
-/// frame (trace slice replay).
+/// It reads one frame at a time into a caller-owned buffer, validating
+/// each checksum as it goes, and supports random access by frame
+/// offset so a reader can jump straight to a known frame (trace slice
+/// replay). Memory stays at one frame whatever the file's length.
 ///
-/// Unlike recovery, a scan is *strict*: any torn or corrupt frame is an
-/// error, not a truncation point — readers only consume files whose
-/// writer finished them, so a bad frame means corruption, not a crash
-/// mid-append.
+/// Unlike recovery, a scan through the public methods is *strict*: any
+/// torn or corrupt frame is an error, not a truncation point — readers
+/// only consume files whose writer finished them, so a bad frame means
+/// corruption, not a crash mid-append.
 #[derive(Debug)]
 pub struct FrameReader {
     file: std::io::BufReader<std::fs::File>,
@@ -219,12 +230,18 @@ impl FrameReader {
     ///
     /// [`DurableError`] with `op = "frame_open"` on IO failure.
     pub fn open(path: &Path) -> Result<Self, DurableError> {
-        let err = |reason: &dyn std::fmt::Display| DurableError::new(path, "frame_open", reason);
         let file = OpenOptions::new()
             .read(true)
             .open(path)
-            .map_err(|e| err(&e))?;
-        let len = file.metadata().map_err(|e| err(&e))?.len();
+            .map_err(|e| DurableError::new(path, "frame_open", e))?;
+        Self::from_file(file, path)
+    }
+
+    fn from_file(file: std::fs::File, path: &Path) -> Result<Self, DurableError> {
+        let len = file
+            .metadata()
+            .map_err(|e| DurableError::new(path, "frame_open", e))?
+            .len();
         Ok(Self {
             file: std::io::BufReader::new(file),
             path: path.to_path_buf(),
@@ -245,21 +262,23 @@ impl FrameReader {
         self.len
     }
 
-    /// Reads the next frame, or `None` at a clean end of file.
-    ///
-    /// # Errors
-    ///
-    /// [`DurableError`] with `op = "frame_read"` if the file ends
-    /// mid-frame, a length field exceeds the record cap, or a payload
-    /// fails its checksum.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DurableError> {
+    /// Reads the frame at the cursor into `payload`, advancing the
+    /// cursor past it only when it is whole. An IO failure is an
+    /// error; a torn or corrupt frame is [`Scan::Bad`].
+    fn scan(&mut self, payload: &mut Vec<u8>) -> Result<Scan, DurableError> {
         if self.offset == self.len {
-            return Ok(None);
+            return Ok(Scan::End);
         }
         let at = self.offset;
-        let err = |reason: String| DurableError::new(&self.path, "frame_read", reason);
+        let io = |what: &str, e: std::io::Error| {
+            DurableError::new(
+                &self.path,
+                "frame_read",
+                format!("{what} at offset {at}: {e}"),
+            )
+        };
         if self.len - at < HEADER as u64 {
-            return Err(err(format!(
+            return Ok(Scan::Bad(format!(
                 "short frame header at offset {at}: {} bytes left",
                 self.len - at
             )));
@@ -267,51 +286,78 @@ impl FrameReader {
         let mut head = [0u8; HEADER];
         self.file
             .read_exact(&mut head)
-            .map_err(|e| err(format!("header at offset {at}: {e}")))?;
+            .map_err(|e| io("header", e))?;
         let payload_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
         if payload_len > MAX_RECORD {
-            return Err(err(format!(
+            return Ok(Scan::Bad(format!(
                 "frame at offset {at} declares {payload_len} bytes, over the {MAX_RECORD}-byte cap"
             )));
         }
         let mut sum = [0u8; 8];
         sum.copy_from_slice(&head[4..]);
         let sum = u64::from_le_bytes(sum);
-        if self.len - at - (HEADER as u64) < u64::from(payload_len) {
-            return Err(err(format!(
-                "frame at offset {at} truncated: {payload_len} payload bytes declared, {} left",
-                self.len - at - HEADER as u64
+        let left = self.len - at - HEADER as u64;
+        if left < u64::from(payload_len) {
+            return Ok(Scan::Bad(format!(
+                "frame at offset {at} truncated: {payload_len} payload bytes declared, {left} left"
             )));
         }
-        let mut payload = vec![0u8; payload_len as usize];
+        // Bounded by the file length just checked, not by the header.
+        payload.clear();
+        payload.resize(payload_len as usize, 0);
         self.file
-            .read_exact(&mut payload)
-            .map_err(|e| err(format!("payload at offset {at}: {e}")))?;
-        if fnv1a(&payload) != sum {
-            return Err(err(format!("checksum mismatch in frame at offset {at}")));
+            .read_exact(payload)
+            .map_err(|e| io("payload", e))?;
+        if fnv1a(payload) != sum {
+            return Ok(Scan::Bad(format!(
+                "checksum mismatch in frame at offset {at}"
+            )));
         }
         self.offset = at + HEADER as u64 + u64::from(payload_len);
-        Ok(Some(payload))
+        Ok(Scan::Frame)
     }
 
-    /// Random access: reads the single frame starting at byte `offset`.
+    /// Reads the next frame into `payload` (replacing its contents);
+    /// `false` at a clean end of file.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError`] with `op = "frame_read"` on IO failure, if the
+    /// file ends mid-frame, a length field exceeds the record cap, or
+    /// a payload fails its checksum.
+    pub fn next_frame(&mut self, payload: &mut Vec<u8>) -> Result<bool, DurableError> {
+        match self.scan(payload)? {
+            Scan::Frame => Ok(true),
+            Scan::End => Ok(false),
+            Scan::Bad(reason) => Err(DurableError::new(&self.path, "frame_read", reason)),
+        }
+    }
+
+    /// Random access: reads the single frame starting at byte `offset`
+    /// into `payload`.
     ///
     /// # Errors
     ///
     /// As [`FrameReader::next_frame`], plus `op = "frame_read"` if
     /// `offset` does not start a valid frame.
-    pub fn read_frame_at(&mut self, offset: u64) -> Result<Vec<u8>, DurableError> {
+    pub fn read_frame_at(
+        &mut self,
+        offset: u64,
+        payload: &mut Vec<u8>,
+    ) -> Result<(), DurableError> {
         self.file.seek(SeekFrom::Start(offset)).map_err(|e| {
             DurableError::new(&self.path, "frame_read", format!("seek to {offset}: {e}"))
         })?;
         self.offset = offset;
-        self.next_frame()?.ok_or_else(|| {
-            DurableError::new(
+        if self.next_frame(payload)? {
+            Ok(())
+        } else {
+            Err(DurableError::new(
                 &self.path,
                 "frame_read",
                 format!("no frame at offset {offset} (end of file)"),
-            )
-        })
+            ))
+        }
     }
 }
 
@@ -430,17 +476,19 @@ mod tests {
         let mut reader = FrameReader::open(&path).expect("frame open");
         let mut offsets = Vec::new();
         let mut seen = Vec::new();
-        while let Some(frame) = {
+        let mut frame = Vec::new();
+        while {
             offsets.push(reader.offset());
-            reader.next_frame().expect("frame")
+            reader.next_frame(&mut frame).expect("frame")
         } {
-            seen.push(frame);
+            seen.push(frame.clone());
         }
         assert_eq!(seen, recs);
         // Random access by captured offset, out of order.
-        assert_eq!(reader.read_frame_at(offsets[3]).expect("seek 3"), recs[3]);
-        assert_eq!(reader.read_frame_at(offsets[0]).expect("seek 0"), recs[0]);
-        assert_eq!(reader.read_frame_at(offsets[5]).expect("seek 5"), recs[5]);
+        for k in [3, 0, 5] {
+            reader.read_frame_at(offsets[k], &mut frame).expect("seek");
+            assert_eq!(frame, recs[k], "frame {k}");
+        }
     }
 
     #[test]
@@ -454,8 +502,12 @@ mod tests {
         std::fs::write(&path, &bytes).expect("plant torn tail");
 
         let mut reader = FrameReader::open(&path).expect("frame open");
-        assert_eq!(reader.next_frame().expect("first"), Some(b"whole".to_vec()));
-        let e = reader.next_frame().expect_err("torn tail must error");
+        let mut frame = Vec::new();
+        assert!(reader.next_frame(&mut frame).expect("first"));
+        assert_eq!(frame, b"whole");
+        let e = reader
+            .next_frame(&mut frame)
+            .expect_err("torn tail must error");
         assert_eq!(e.op, "frame_read");
     }
 
@@ -471,7 +523,9 @@ mod tests {
         std::fs::write(&path, &bytes).expect("flip bit");
 
         let mut reader = FrameReader::open(&path).expect("frame open");
-        let e = reader.next_frame().expect_err("bit flip must error");
+        let e = reader
+            .next_frame(&mut Vec::new())
+            .expect_err("bit flip must error");
         assert!(e.reason.contains("checksum"), "{e}");
     }
 

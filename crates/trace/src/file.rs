@@ -19,6 +19,12 @@
 //! which slice replay depends on. Bodies are squeezed by the
 //! hand-rolled [`pack`] compressor.
 //!
+//! The sizes a block header declares are what a reader allocates for
+//! the block, so every reader bounds them before reading the body:
+//! `1 ≤ n_instrs ≤ block_instrs ≤` [`MAX_BLOCK_INSTRS`], and `raw_len`
+//! at most 11 bytes per instruction (a tag byte plus a ten-byte
+//! varint).
+//!
 //! # Crash-consistent generation
 //!
 //! [`TraceWriter`] appends whole blocks through [`Wal::append`], so
@@ -31,14 +37,29 @@
 //! file is byte-identical to an uninterrupted one. A file without its
 //! trailer is *incomplete*: readers refuse it, writers resume it.
 //!
-//! [`FileSource`] streams a finished file block by block (validating
-//! every frame checksum up front, holding only the index plus one
-//! decoded block in memory) and exposes random access by instruction
-//! offset for the SimPoint slice replay in
-//! [`simpoint`](crate::simpoint).
+//! # Reading
+//!
+//! [`TraceFile::open`] scans a finished file once — every frame
+//! checksum, every block header, the trailer — and keeps the block
+//! index (two words per block). Every stream of the file is cut from
+//! that handle without rescanning, and every block a stream reads
+//! verifies its own frame checksum again:
+//!
+//! * [`TraceFile::stream`] reads from disk one block at a time, so a
+//!   full-trace pass holds one block whatever the trace's length;
+//! * [`SliceBuffer::fill`] reads the blocks covering one SimPoint slice
+//!   (see [`simpoint`](crate::simpoint)) once, decompressed, and
+//!   [`SliceBuffer::replay`] replays them from memory as often as
+//!   needed — one read per slice for every scheme replaying it.
+//!
+//! Both feed one block decoder, which decodes into buffers each stream
+//! reuses. A read error after the open poisons the handle
+//! ([`TraceFile::poisoned`]). [`FileSource::open`] and
+//! [`FileSource::open_slice`] open a handle and cut one stream from it.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 use untangle_durable::wal::{FrameReader, Wal};
 use untangle_durable::DurableError;
@@ -55,6 +76,13 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Default instructions per block: small enough for cheap slice seeks,
 /// large enough that tag-byte streams compress well.
 pub const DEFAULT_BLOCK_INSTRS: u32 = 4096;
+/// Most instructions per block a header may declare. It bounds what a
+/// reader allocates for one block (24 MiB of decoded instructions).
+pub const MAX_BLOCK_INSTRS: u32 = 1 << 20;
+
+/// Most body bytes one instruction encodes to: a tag byte plus a
+/// ten-byte varint.
+const MAX_INSTR_BYTES: u64 = 11;
 
 const TAG_BLOCK: u8 = b'B';
 const TAG_TRAILER: u8 = b'E';
@@ -69,7 +97,8 @@ const BIT_SECRET_CTRL: u8 = 1 << 3;
 pub struct TraceFileError {
     /// The file involved.
     pub path: PathBuf,
-    /// Short operation name (`"trace_open"`, `"trace_append"`, …).
+    /// Short operation name (`"trace_open"`, `"trace_read"`,
+    /// `"trace_append"`, …).
     pub op: &'static str,
     /// Human-readable failure reason.
     pub reason: String,
@@ -181,9 +210,13 @@ fn encode_block(instrs: &[Instr]) -> Vec<u8> {
     out
 }
 
-/// Decodes a block body produced by [`encode_block`].
-fn decode_block(body: &[u8], n_instrs: usize) -> Result<Vec<Instr>, String> {
-    let mut instrs = Vec::with_capacity(n_instrs);
+/// Decodes a block body produced by [`encode_block`] into `out`,
+/// replacing its contents: the one block decoder of every stream.
+/// `out` never grows past `n_instrs`, nor past one instruction per
+/// body byte.
+fn decode_block_into(body: &[u8], n_instrs: usize, out: &mut Vec<Instr>) -> Result<(), String> {
+    out.clear();
+    out.reserve(n_instrs.min(body.len()));
     let mut prev_line = 0u64;
     let mut pos = 0usize;
     for i in 0..n_instrs {
@@ -217,7 +250,7 @@ fn decode_block(body: &[u8], n_instrs: usize) -> Result<Vec<Instr>, String> {
             }
             InstrKind::Compute
         };
-        instrs.push(Instr { kind, annotations });
+        out.push(Instr { kind, annotations });
     }
     if pos != body.len() {
         return Err(format!(
@@ -225,7 +258,7 @@ fn decode_block(body: &[u8], n_instrs: usize) -> Result<Vec<Instr>, String> {
             body.len() - pos
         ));
     }
-    Ok(instrs)
+    Ok(())
 }
 
 fn header_payload(block_instrs: u32, meta: &str) -> Vec<u8> {
@@ -251,12 +284,100 @@ fn parse_header(payload: &[u8]) -> Result<(u32, String), String> {
         ));
     }
     let block_instrs = u32::from_le_bytes([payload[8], payload[9], payload[10], payload[11]]);
-    if block_instrs == 0 {
-        return Err("header declares zero instructions per block".to_string());
+    if block_instrs == 0 || block_instrs > MAX_BLOCK_INSTRS {
+        return Err(format!(
+            "header declares {block_instrs} instructions per block, outside 1..={MAX_BLOCK_INSTRS}"
+        ));
     }
     let meta = String::from_utf8(payload[12..].to_vec())
         .map_err(|_| "header meta is not UTF-8".to_string())?;
     Ok((block_instrs, meta))
+}
+
+/// A block record: its header, checked against the format bounds, and
+/// its compressed body.
+#[derive(Debug)]
+struct Block<'a> {
+    n_instrs: u32,
+    raw_len: u32,
+    body: &'a [u8],
+}
+
+impl<'a> Block<'a> {
+    /// Parses a block record of a file with `block_instrs` instructions
+    /// per block. The two sizes it declares are what a reader allocates
+    /// for the block, so they are bounded here, before the body is
+    /// touched.
+    fn parse(record: &'a [u8], block_instrs: u32) -> Result<Self, String> {
+        if record.len() < 9 || record[0] != TAG_BLOCK {
+            return Err("malformed block record".to_string());
+        }
+        let n_instrs = u32::from_le_bytes([record[1], record[2], record[3], record[4]]);
+        let raw_len = u32::from_le_bytes([record[5], record[6], record[7], record[8]]);
+        if n_instrs == 0 || n_instrs > block_instrs {
+            return Err(format!(
+                "block declares {n_instrs} instructions, outside 1..={block_instrs}"
+            ));
+        }
+        if u64::from(raw_len) > MAX_INSTR_BYTES * u64::from(n_instrs) {
+            return Err(format!(
+                "block declares a {raw_len}-byte body for {n_instrs} instructions, \
+                 over {MAX_INSTR_BYTES} bytes each"
+            ));
+        }
+        Ok(Self {
+            n_instrs,
+            raw_len,
+            body: &record[9..],
+        })
+    }
+}
+
+/// The walk over the records after a trace's header: blocks, then at
+/// most one trailer, which must match their total. The reader's index
+/// scan and the writer's recovery both take their records through it.
+#[derive(Debug, Default)]
+struct RecordWalk {
+    /// Instructions in the blocks taken so far.
+    total: u64,
+    trailer: Option<u64>,
+}
+
+impl RecordWalk {
+    /// Takes the next record; returns the block it holds, if any.
+    fn take<'a>(
+        &mut self,
+        record: &'a [u8],
+        block_instrs: u32,
+    ) -> Result<Option<Block<'a>>, String> {
+        if self.trailer.is_some() {
+            return Err("record after trailer".to_string());
+        }
+        match record.first() {
+            Some(&TAG_BLOCK) => {
+                let block = Block::parse(record, block_instrs)?;
+                self.total = self
+                    .total
+                    .checked_add(u64::from(block.n_instrs))
+                    .ok_or("instruction count overflows u64")?;
+                Ok(Some(block))
+            }
+            Some(&TAG_TRAILER) if record.len() == 9 => {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(&record[1..9]);
+                let declared = u64::from_le_bytes(b);
+                if declared != self.total {
+                    return Err(format!(
+                        "trailer declares {declared} instructions, blocks hold {}",
+                        self.total
+                    ));
+                }
+                self.trailer = Some(declared);
+                Ok(None)
+            }
+            _ => Err("malformed record".to_string()),
+        }
+    }
 }
 
 /// What [`TraceWriter::open`] found on disk.
@@ -293,7 +414,8 @@ impl TraceWriter {
     /// Opens `path` for generation, creating the file (with its header
     /// record) if missing and otherwise recovering the valid prefix —
     /// including truncating a torn tail — exactly like every other WAL
-    /// in the workspace.
+    /// in the workspace. Recovery takes the records one at a time, so
+    /// it holds one frame whatever the file's length.
     ///
     /// `block_instrs` and `meta` must match a preexisting header: they
     /// define the byte layout, so silently mixing configurations would
@@ -301,79 +423,58 @@ impl TraceWriter {
     ///
     /// # Errors
     ///
-    /// [`TraceFileError`] on IO failure, a foreign/mismatched header,
-    /// or malformed records.
+    /// [`TraceFileError`] on IO failure, a `block_instrs` outside
+    /// `1..=`[`MAX_BLOCK_INSTRS`], a foreign/mismatched header, or
+    /// malformed records.
     pub fn open(
         path: &Path,
         block_instrs: u32,
         meta: &str,
     ) -> Result<(Self, Resume), TraceFileError> {
-        let err = |op, reason: &dyn fmt::Display| TraceFileError::new(path, op, reason);
-        if block_instrs == 0 {
-            return Err(err("trace_open", &"block_instrs must be positive"));
+        let err = |reason: &dyn fmt::Display| TraceFileError::new(path, "trace_open", reason);
+        if block_instrs == 0 || block_instrs > MAX_BLOCK_INSTRS {
+            return Err(err(&format!(
+                "block_instrs {block_instrs} outside 1..={MAX_BLOCK_INSTRS}"
+            )));
         }
-        let (mut wal, recovery) = Wal::open(path)?;
-        let mut writer = Self {
-            block_instrs,
-            pending: Vec::with_capacity(block_instrs as usize),
-            durable_instrs: 0,
-            finished: false,
-            wal: {
-                if recovery.records.is_empty() {
-                    wal.append(&header_payload(block_instrs, meta))?;
-                }
-                wal
-            },
+        let mut records = 0usize;
+        let mut walk = RecordWalk::default();
+        let mut failure: Option<String> = None;
+        let (mut wal, _) = Wal::recover(path, |record| {
+            if failure.is_some() {
+                return;
+            }
+            let checked = if records == 0 {
+                check_header(record, block_instrs, meta)
+            } else {
+                walk.take(record, block_instrs)
+                    .map(drop)
+                    .map_err(|e| format!("record {records}: {e}"))
+            };
+            failure = checked.err();
+            records += 1;
+        })?;
+        if let Some(reason) = failure {
+            return Err(err(&reason));
+        }
+        let resume = match (records, walk.trailer) {
+            (0, _) => {
+                wal.append(&header_payload(block_instrs, meta))?;
+                Resume::Fresh
+            }
+            (_, Some(instrs)) => Resume::Complete { instrs },
+            (_, None) => Resume::Partial { instrs: walk.total },
         };
-        if recovery.records.is_empty() {
-            return Ok((writer, Resume::Fresh));
-        }
-
-        let (found_block_instrs, found_meta) =
-            parse_header(&recovery.records[0]).map_err(|e| err("trace_open", &e))?;
-        if found_block_instrs != block_instrs || found_meta != meta {
-            return Err(err(
-                "trace_open",
-                &format!(
-                    "header mismatch: on disk block_instrs={found_block_instrs} \
-                     meta={found_meta:?}, requested block_instrs={block_instrs} meta={meta:?}"
-                ),
-            ));
-        }
-        let mut total = 0u64;
-        let mut trailer: Option<u64> = None;
-        for (i, record) in recovery.records[1..].iter().enumerate() {
-            if trailer.is_some() {
-                return Err(err(
-                    "trace_open",
-                    &format!("record {} after trailer", i + 1),
-                ));
-            }
-            match record.first() {
-                Some(&TAG_BLOCK) if record.len() >= 9 => {
-                    let n = u32::from_le_bytes([record[1], record[2], record[3], record[4]]);
-                    total += u64::from(n);
-                }
-                Some(&TAG_TRAILER) if record.len() == 9 => {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&record[1..9]);
-                    trailer = Some(u64::from_le_bytes(b));
-                }
-                _ => return Err(err("trace_open", &format!("malformed record {}", i + 1))),
-            }
-        }
-        writer.durable_instrs = total;
-        if let Some(declared) = trailer {
-            if declared != total {
-                return Err(err(
-                    "trace_open",
-                    &format!("trailer declares {declared} instructions, blocks hold {total}"),
-                ));
-            }
-            writer.finished = true;
-            return Ok((writer, Resume::Complete { instrs: total }));
-        }
-        Ok((writer, Resume::Partial { instrs: total }))
+        Ok((
+            Self {
+                wal,
+                block_instrs,
+                pending: Vec::with_capacity(block_instrs as usize),
+                durable_instrs: walk.total,
+                finished: matches!(resume, Resume::Complete { .. }),
+            },
+            resume,
+        ))
     }
 
     /// Instructions durably on disk (buffered ones excluded).
@@ -465,6 +566,19 @@ impl TraceWriter {
     }
 }
 
+/// Checks an existing file's header record against the layout a writer
+/// asks for.
+fn check_header(record: &[u8], block_instrs: u32, meta: &str) -> Result<(), String> {
+    let (found_block_instrs, found_meta) = parse_header(record)?;
+    if found_block_instrs != block_instrs || found_meta != meta {
+        return Err(format!(
+            "header mismatch: on disk block_instrs={found_block_instrs} \
+             meta={found_meta:?}, requested block_instrs={block_instrs} meta={meta:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// Parsed header + index facts about a finished trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceFileInfo {
@@ -486,32 +600,328 @@ struct BlockEntry {
     n_instrs: u32,
 }
 
-/// A [`TraceSource`] streaming a finished trace file.
+/// Where a stream of `[skip, skip + len)` starts and how long it runs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    /// Index of the block holding instruction `skip`.
+    first_block: usize,
+    /// Instructions of that block before `skip`.
+    skip_in_block: usize,
+    /// Instructions the stream yields (`len` clamped to the trace).
+    len: u64,
+}
+
+#[derive(Debug)]
+struct TraceIndex {
+    path: PathBuf,
+    info: TraceFileInfo,
+    blocks: Vec<BlockEntry>,
+    /// The first read error of any stream cut from the handle.
+    poison: OnceLock<TraceFileError>,
+}
+
+/// A finished trace file, scanned once: the handle every stream of it
+/// is cut from.
 ///
-/// Opening validates every frame checksum and builds a block index
-/// (two words per block); replay then holds one decoded block at a
-/// time, so memory stays O(block) regardless of trace length.
+/// [`TraceFile::open`] verifies every frame checksum, every block
+/// header against the format bounds and the trailer, and keeps the
+/// block index (two words per block). [`TraceFile::stream`] and
+/// [`TraceFile::slice_buffer`] then reach any instruction offset by
+/// index, without rescanning. Clones share the index and one poison
+/// cell.
 ///
 /// `next_instr` cannot surface IO errors through the [`TraceSource`]
-/// contract; a read failure after the successful open (vanishing file,
-/// media error) marks the source *poisoned* — it ends the stream and
-/// records the error for [`FileSource::poisoned`], which drivers check
-/// after a run. The `trace.read_errors` counter observes the same
-/// event.
+/// contract; a read or decode failure after the open (vanishing file,
+/// media error, a block corrupted since the scan) ends that stream and
+/// records the first such error in the handle's poison cell, which
+/// drivers check after every replay ([`TraceFile::poisoned`]). The
+/// `trace.read_errors` counter observes the same event.
+#[derive(Debug, Clone)]
+pub struct TraceFile {
+    index: Arc<TraceIndex>,
+}
+
+impl TraceFile {
+    /// Opens and scans a finished trace file. Counted by the
+    /// `trace.index_scans` counter.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceFileError`] on IO failure, checksum mismatch, a foreign
+    /// or version-mismatched header, a block header outside the format
+    /// bounds, or a missing trailer (an unfinished generation — resume
+    /// it with [`TraceWriter::open`]).
+    pub fn open(path: &Path) -> Result<Self, TraceFileError> {
+        let err = |reason: &dyn fmt::Display| TraceFileError::new(path, "trace_open", reason);
+        obs::counter_add("trace.index_scans", 1);
+        let mut reader = FrameReader::open(path)?;
+        let mut frame = Vec::new();
+        if !reader.next_frame(&mut frame)? {
+            return Err(err(&"empty file: no header record"));
+        }
+        let (block_instrs, meta) = parse_header(&frame).map_err(|e| err(&e))?;
+
+        let mut blocks = Vec::new();
+        let mut walk = RecordWalk::default();
+        loop {
+            let offset = reader.offset();
+            if !reader.next_frame(&mut frame)? {
+                break;
+            }
+            let taken = walk
+                .take(&frame, block_instrs)
+                .map_err(|e| err(&format!("record at offset {offset}: {e}")))?;
+            if let Some(block) = taken {
+                blocks.push(BlockEntry {
+                    offset,
+                    n_instrs: block.n_instrs,
+                });
+            }
+        }
+        if walk.trailer.is_none() {
+            return Err(err(
+                &"no trailer: the trace is unfinished (crashed generation?) — resume it first",
+            ));
+        }
+        Ok(Self {
+            index: Arc::new(TraceIndex {
+                path: path.to_path_buf(),
+                info: TraceFileInfo {
+                    block_instrs,
+                    meta,
+                    total_instrs: walk.total,
+                    blocks: blocks.len(),
+                },
+                blocks,
+                poison: OnceLock::new(),
+            }),
+        })
+    }
+
+    /// Header and index facts about the file.
+    pub fn info(&self) -> &TraceFileInfo {
+        &self.index.info
+    }
+
+    /// The file's path.
+    pub fn path(&self) -> &Path {
+        &self.index.path
+    }
+
+    /// The first read error of any stream cut from this handle, if
+    /// any. Drivers check this after every replay: a poisoned stream
+    /// ended early, so the run's results must be discarded.
+    pub fn poisoned(&self) -> Option<&TraceFileError> {
+        self.index.poison.get()
+    }
+
+    /// A disk stream skipping `skip` instructions and yielding at most
+    /// `len`. Whole blocks before the slice are skipped by index, never
+    /// read; the stream then holds one block at a time.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceFileError`] if `skip` lies past the end of the trace or
+    /// the file cannot be opened.
+    pub fn stream(&self, skip: u64, len: u64) -> Result<FileSource, TraceFileError> {
+        let span = self.span(skip, len)?;
+        Ok(FileSource {
+            trace: self.clone(),
+            feed: Feed::Disk {
+                reader: FrameReader::open(self.path())?,
+                frame: Vec::new(),
+                raw: Vec::new(),
+            },
+            next_block: span.first_block,
+            current: Vec::new(),
+            pos: 0,
+            skip_in_block: span.skip_in_block,
+            remaining: span.len,
+        })
+    }
+
+    /// An empty slice buffer bound to this trace; see
+    /// [`SliceBuffer::fill`].
+    pub fn slice_buffer(&self) -> SliceBuffer {
+        SliceBuffer {
+            trace: self.clone(),
+            span: Span::default(),
+            raw: Vec::new(),
+            blocks: Vec::new(),
+            frame: Vec::new(),
+        }
+    }
+
+    fn span(&self, skip: u64, len: u64) -> Result<Span, TraceFileError> {
+        let total = self.index.info.total_instrs;
+        if skip > total {
+            return Err(TraceFileError::new(
+                self.path(),
+                "trace_open",
+                format!("slice skip {skip} past the end of the {total}-instruction trace"),
+            ));
+        }
+        let mut first_block = 0usize;
+        let mut skipped = 0u64;
+        for entry in &self.index.blocks {
+            let next = skipped + u64::from(entry.n_instrs);
+            if next > skip {
+                break;
+            }
+            skipped = next;
+            first_block += 1;
+        }
+        Ok(Span {
+            first_block,
+            // Below the block's instruction count, itself a u32.
+            skip_in_block: (skip - skipped) as usize,
+            len: len.min(total - skip),
+        })
+    }
+
+    /// Reads the block at `entry` from disk, verifying its frame
+    /// checksum and header again, and appends its decompressed body to
+    /// `raw`. Counted by the `trace.blocks_read` counter.
+    fn read_block(
+        &self,
+        reader: &mut FrameReader,
+        entry: BlockEntry,
+        frame: &mut Vec<u8>,
+        raw: &mut Vec<u8>,
+    ) -> Result<(), TraceFileError> {
+        let fail =
+            |reason: &dyn fmt::Display| TraceFileError::new(self.path(), "trace_read", reason);
+        reader
+            .read_frame_at(entry.offset, frame)
+            .map_err(|e| fail(&format!("{}: {}", e.op, e.reason)))?;
+        let block = Block::parse(frame, self.index.info.block_instrs).map_err(|e| fail(&e))?;
+        if block.n_instrs != entry.n_instrs {
+            return Err(fail(&"block instruction count changed under us"));
+        }
+        pack::decompress_into(block.body, block.raw_len as usize, raw).map_err(|e| fail(&e))?;
+        obs::counter_add("trace.blocks_read", 1);
+        Ok(())
+    }
+}
+
+/// A block of a [`SliceBuffer`]: its instruction count and the byte
+/// range of its decompressed body.
+#[derive(Debug, Clone, Copy)]
+struct SliceBlock {
+    n_instrs: u32,
+    start: usize,
+    end: usize,
+}
+
+/// One slice of a trace, read from disk once and replayed from memory.
+///
+/// [`SliceBuffer::fill`] reads the blocks covering a slice — each frame
+/// checksum-verified, each body decompressed — into one buffer of about
+/// 1.7 bytes per instruction (the encoded form, not decoded
+/// instructions). [`SliceBuffer::replay`] cuts any number of streams
+/// from it, each decoding the same bodies through the one block
+/// decoder. Filling again reuses the buffer, so memory stays at one
+/// slice's blocks whatever the trace's length.
+#[derive(Debug, Clone)]
+pub struct SliceBuffer {
+    trace: TraceFile,
+    span: Span,
+    /// The decompressed bodies of the blocks covering `span`, back to
+    /// back.
+    raw: Vec<u8>,
+    blocks: Vec<SliceBlock>,
+    /// Frame buffer reused across block reads.
+    frame: Vec<u8>,
+}
+
+impl SliceBuffer {
+    /// Replaces the buffer's contents with the slice skipping `skip`
+    /// instructions and holding at most `len`, reading each block it
+    /// covers once.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceFileError`] if `skip` lies past the end of the trace, or
+    /// a block cannot be read, fails its checksum or does not
+    /// decompress.
+    pub fn fill(&mut self, skip: u64, len: u64) -> Result<(), TraceFileError> {
+        let span = self.trace.span(skip, len)?;
+        // A fill that fails part-way leaves a buffer that replays nothing.
+        self.span = Span::default();
+        self.raw.clear();
+        self.blocks.clear();
+        if span.len > 0 {
+            // Instructions from the first block's start to the slice's end.
+            let mut pending = span.skip_in_block as u64 + span.len;
+            let mut reader = FrameReader::open(self.trace.path())?;
+            for &entry in self.trace.index.blocks.iter().skip(span.first_block) {
+                let start = self.raw.len();
+                self.trace
+                    .read_block(&mut reader, entry, &mut self.frame, &mut self.raw)?;
+                self.blocks.push(SliceBlock {
+                    n_instrs: entry.n_instrs,
+                    start,
+                    end: self.raw.len(),
+                });
+                pending = pending.saturating_sub(u64::from(entry.n_instrs));
+                if pending == 0 {
+                    break;
+                }
+            }
+        }
+        self.span = span;
+        Ok(())
+    }
+
+    /// A stream over the slice last filled, read from memory.
+    pub fn replay(self: &Arc<Self>) -> FileSource {
+        FileSource {
+            trace: self.trace.clone(),
+            feed: Feed::Memory(Arc::clone(self)),
+            next_block: 0,
+            current: Vec::new(),
+            pos: 0,
+            skip_in_block: self.span.skip_in_block,
+            remaining: self.span.len,
+        }
+    }
+}
+
+/// Where a [`FileSource`] takes its block bodies from.
+#[derive(Debug)]
+enum Feed {
+    /// Block frames read from disk one at a time, into reused buffers.
+    Disk {
+        reader: FrameReader,
+        frame: Vec<u8>,
+        raw: Vec<u8>,
+    },
+    /// The bodies a [`SliceBuffer`] holds.
+    Memory(Arc<SliceBuffer>),
+}
+
+/// A [`TraceSource`] over a finished trace file: a stream cut from a
+/// [`TraceFile`] handle, from disk ([`TraceFile::stream`]) or from a
+/// [`SliceBuffer`] ([`SliceBuffer::replay`]). It holds one decoded
+/// block and yields from a cursor into it.
+///
+/// A read or decode failure ends the stream and poisons the handle
+/// (see [`TraceFile`]); [`FileSource::poisoned`] reports it.
 #[derive(Debug)]
 pub struct FileSource {
-    reader: FrameReader,
-    path: PathBuf,
-    index: Vec<BlockEntry>,
-    info: TraceFileInfo,
-    current: Vec<Instr>,
-    current_pos: usize,
+    trace: TraceFile,
+    feed: Feed,
+    /// Next block to decode: an index into the trace's blocks (disk) or
+    /// the slice buffer's (memory).
     next_block: usize,
-    /// Instructions to drop from the first decoded block (slice skip).
-    skip_in_block: u64,
+    /// The decoded current block; `current[pos..]` is still to yield.
+    current: Vec<Instr>,
+    pos: usize,
+    /// Instructions to skip in the next decoded block (a slice start
+    /// inside a block).
+    skip_in_block: usize,
     /// Instructions still to yield.
     remaining: u64,
-    poisoned: Option<TraceFileError>,
 }
 
 impl FileSource {
@@ -519,146 +929,71 @@ impl FileSource {
     ///
     /// # Errors
     ///
-    /// [`TraceFileError`] on IO failure, checksum mismatch, a foreign
-    /// or version-mismatched header, or a missing trailer (an
-    /// unfinished generation — resume it with [`TraceWriter::open`]).
+    /// As [`TraceFile::open`].
     pub fn open(path: &Path) -> Result<Self, TraceFileError> {
-        Self::open_slice(path, 0, u64::MAX)
+        TraceFile::open(path)?.stream(0, u64::MAX)
     }
 
     /// Opens a finished trace file, skipping `skip` instructions and
-    /// yielding at most `len` — the primitive SimPoint slice replay is
-    /// built on. Whole blocks before the slice are skipped by index,
-    /// never decoded.
+    /// yielding at most `len`: [`TraceFile::open`] then
+    /// [`TraceFile::stream`].
     ///
     /// # Errors
     ///
-    /// As [`FileSource::open`], plus if `skip` lies past the end of the
-    /// trace.
+    /// As [`TraceFile::open`] and [`TraceFile::stream`].
     pub fn open_slice(path: &Path, skip: u64, len: u64) -> Result<Self, TraceFileError> {
-        let err = |reason: &dyn fmt::Display| TraceFileError::new(path, "trace_open", reason);
-        let mut reader = FrameReader::open(path)?;
-        let header = reader
-            .next_frame()?
-            .ok_or_else(|| err(&"empty file: no header record"))?;
-        let (block_instrs, meta) = parse_header(&header).map_err(|e| err(&e))?;
-
-        let mut index = Vec::new();
-        let mut total = 0u64;
-        let mut trailer = None;
-        loop {
-            let offset = reader.offset();
-            let Some(frame) = reader.next_frame()? else {
-                break;
-            };
-            if trailer.is_some() {
-                return Err(err(&"record after trailer"));
-            }
-            match frame.first() {
-                Some(&TAG_BLOCK) if frame.len() >= 9 => {
-                    let n = u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]);
-                    index.push(BlockEntry {
-                        offset,
-                        n_instrs: n,
-                    });
-                    total += u64::from(n);
-                }
-                Some(&TAG_TRAILER) if frame.len() == 9 => {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&frame[1..9]);
-                    trailer = Some(u64::from_le_bytes(b));
-                }
-                _ => return Err(err(&format!("malformed record at offset {offset}"))),
-            }
-        }
-        let declared = trailer.ok_or_else(|| {
-            err(&"no trailer: the trace is unfinished (crashed generation?) — resume it first")
-        })?;
-        if declared != total {
-            return Err(err(&format!(
-                "trailer declares {declared} instructions, blocks hold {total}"
-            )));
-        }
-        if skip > total {
-            return Err(err(&format!(
-                "slice skip {skip} past the end of the {total}-instruction trace"
-            )));
-        }
-
-        // Position the cursor: drop whole blocks before the slice.
-        let mut next_block = 0usize;
-        let mut skipped = 0u64;
-        while next_block < index.len() && skipped + u64::from(index[next_block].n_instrs) <= skip {
-            skipped += u64::from(index[next_block].n_instrs);
-            next_block += 1;
-        }
-        let blocks = index.len();
-        Ok(Self {
-            reader,
-            path: path.to_path_buf(),
-            index,
-            info: TraceFileInfo {
-                block_instrs,
-                meta,
-                total_instrs: total,
-                blocks,
-            },
-            current: Vec::new(),
-            current_pos: 0,
-            next_block,
-            skip_in_block: skip - skipped,
-            remaining: len.min(total - skip),
-            poisoned: None,
-        })
+        TraceFile::open(path)?.stream(skip, len)
     }
 
     /// Header and index facts about the file.
     pub fn info(&self) -> &TraceFileInfo {
-        &self.info
+        self.trace.info()
     }
 
-    /// The read error that ended the stream early, if any. Drivers
-    /// check this after a run: a poisoned source yielded a truncated
-    /// stream, so its results must be discarded.
+    /// The read error that poisoned this stream's handle, if any.
+    /// Drivers check this after a run: a poisoned source yielded a
+    /// truncated stream, so its results must be discarded.
     pub fn poisoned(&self) -> Option<&TraceFileError> {
-        self.poisoned.as_ref()
+        self.trace.poisoned()
     }
 
+    /// Decodes the next block into `current`; `false` past the last.
     fn load_next_block(&mut self) -> Result<bool, TraceFileError> {
-        let Some(entry) = self.index.get(self.next_block).copied() else {
-            return Ok(false);
+        let (body, n_instrs) = match &mut self.feed {
+            Feed::Disk { reader, frame, raw } => {
+                let Some(&entry) = self.trace.index.blocks.get(self.next_block) else {
+                    return Ok(false);
+                };
+                raw.clear();
+                self.trace.read_block(reader, entry, frame, raw)?;
+                (raw.as_slice(), entry.n_instrs)
+            }
+            Feed::Memory(slice) => {
+                let Some(&block) = slice.blocks.get(self.next_block) else {
+                    return Ok(false);
+                };
+                (&slice.raw[block.start..block.end], block.n_instrs)
+            }
         };
+        decode_block_into(body, n_instrs as usize, &mut self.current)
+            .map_err(|e| TraceFileError::new(self.trace.path(), "trace_read", e))?;
+        self.pos = std::mem::take(&mut self.skip_in_block);
         self.next_block += 1;
-        let frame = self.reader.read_frame_at(entry.offset)?;
-        let path = self.path.clone();
-        let fail = |reason: String| TraceFileError::new(&path, "trace_read", reason);
-        if frame.len() < 9 || frame[0] != TAG_BLOCK {
-            return Err(fail("indexed frame is not a block".to_string()));
-        }
-        let n = u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]);
-        if n != entry.n_instrs {
-            return Err(fail("block instruction count changed under us".to_string()));
-        }
-        let raw_len = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-        let raw =
-            pack::decompress(&frame[9..], raw_len as usize).map_err(|e| fail(e.to_string()))?;
-        let mut instrs = decode_block(&raw, n as usize).map_err(fail)?;
-        if self.skip_in_block > 0 {
-            instrs.drain(..self.skip_in_block as usize);
-            self.skip_in_block = 0;
-        }
-        self.current = instrs;
-        self.current_pos = 0;
         Ok(true)
     }
 }
 
 impl TraceSource for FileSource {
     fn next_instr(&mut self) -> Option<Instr> {
-        if self.remaining == 0 || self.poisoned.is_some() {
+        if self.remaining == 0 {
             return None;
         }
-        while self.current_pos >= self.current.len() {
+        loop {
+            if let Some(&instr) = self.current.get(self.pos) {
+                self.pos += 1;
+                self.remaining -= 1;
+                return Some(instr);
+            }
             match self.load_next_block() {
                 Ok(true) => {}
                 Ok(false) => {
@@ -668,16 +1003,13 @@ impl TraceSource for FileSource {
                 Err(e) => {
                     obs::counter_add("trace.read_errors", 1);
                     obs::diag!("trace read error: {e}");
-                    self.poisoned = Some(e);
+                    // The first error wins; later ones repeat its cause.
+                    let _ = self.trace.index.poison.set(e);
                     self.remaining = 0;
                     return None;
                 }
             }
         }
-        let instr = self.current[self.current_pos];
-        self.current_pos += 1;
-        self.remaining -= 1;
-        Some(instr)
     }
 }
 
@@ -685,7 +1017,7 @@ impl TraceSource for FileSource {
 mod tests {
     use super::*;
     use crate::annotate::{RegionAnnotator, SecretRegion};
-    use crate::synth::{WorkingSetConfig, WorkingSetModel};
+    use crate::synth::{TraceRng, WorkingSetConfig, WorkingSetModel};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -711,6 +1043,34 @@ mod tests {
 
     fn collect(src: &mut impl TraceSource, n: usize) -> Vec<Instr> {
         (0..n).map(|_| src.next_instr().expect("instr")).collect()
+    }
+
+    /// A block record as [`TraceWriter`] frames it.
+    fn block_record(instrs: &[Instr]) -> Vec<u8> {
+        let raw = encode_block(instrs);
+        let mut record = vec![TAG_BLOCK];
+        record.extend_from_slice(&(instrs.len() as u32).to_le_bytes());
+        record.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+        record.extend_from_slice(&pack::compress(&raw));
+        record
+    }
+
+    fn trailer_record(total: u64) -> Vec<u8> {
+        let mut record = vec![TAG_TRAILER];
+        record.extend_from_slice(&total.to_le_bytes());
+        record
+    }
+
+    /// Writes `records` after a header through the raw WAL, bypassing
+    /// the writer's own checks.
+    fn write_raw(path: &Path, block_instrs: u32, records: &[Vec<u8>]) {
+        let _ = std::fs::remove_file(path);
+        let (mut wal, _) = Wal::open(path).expect("wal");
+        wal.append(&header_payload(block_instrs, "m"))
+            .expect("header");
+        for record in records {
+            wal.append(record).expect("record");
+        }
     }
 
     #[test]
@@ -739,7 +1099,9 @@ mod tests {
         let mut src = sample_source(11);
         let instrs = collect(&mut src, 5000);
         let body = encode_block(&instrs);
-        assert_eq!(decode_block(&body, instrs.len()).expect("decode"), instrs);
+        let mut decoded = vec![Instr::compute(); 3];
+        decode_block_into(&body, instrs.len(), &mut decoded).expect("decode");
+        assert_eq!(decoded, instrs);
     }
 
     #[test]
@@ -769,6 +1131,9 @@ mod tests {
         assert!(file.poisoned().is_none());
     }
 
+    /// Every way to cut `[skip, skip + len)` — a fresh `open_slice`, a
+    /// disk stream from one shared handle, and a replay of one reused
+    /// slice buffer — yields that part of the contiguous stream.
     #[test]
     fn slices_match_the_contiguous_stream() {
         let dir = temp_dir("slices");
@@ -780,25 +1145,40 @@ mod tests {
 
         let mut full = FileSource::open(&path).expect("open");
         let all: Vec<Instr> = full.iter_instrs().collect();
+        let trace = TraceFile::open(&path).expect("handle");
+        let mut buffer = Arc::new(trace.slice_buffer());
         // Slice boundaries landing mid-block, on block edges, at the
-        // very start and running off the end.
+        // very start, running off the end, and empty.
         for (skip, len) in [
             (0u64, 100u64),
             (255, 2),
             (256, 256),
             (1000, 999),
             (3900, 500),
+            (512, 0),
+            (4000, 10),
         ] {
-            let mut slice = FileSource::open_slice(&path, skip, len).expect("slice");
-            let got: Vec<Instr> = slice.iter_instrs().collect();
             let want: Vec<Instr> = all
                 .iter()
                 .skip(skip as usize)
                 .take(len as usize)
                 .copied()
                 .collect();
-            assert_eq!(got, want, "slice ({skip}, {len})");
+            let mut opened = FileSource::open_slice(&path, skip, len).expect("slice");
+            let got: Vec<Instr> = opened.iter_instrs().collect();
+            assert_eq!(got, want, "open_slice ({skip}, {len})");
+            let mut cut = trace.stream(skip, len).expect("stream");
+            let got: Vec<Instr> = cut.iter_instrs().collect();
+            assert_eq!(got, want, "stream ({skip}, {len})");
+            Arc::make_mut(&mut buffer).fill(skip, len).expect("fill");
+            for replay in 0..2 {
+                let got: Vec<Instr> = buffer.replay().iter_instrs().collect();
+                assert_eq!(got, want, "slice buffer ({skip}, {len}) replay {replay}");
+            }
         }
+        assert!(trace.poisoned().is_none());
+        assert!(trace.stream(4001, 1).is_err());
+        assert!(Arc::make_mut(&mut buffer).fill(4001, 1).is_err());
     }
 
     #[test]
@@ -891,6 +1271,130 @@ mod tests {
         drop(wal);
         let e = FileSource::open(&path).expect_err("must refuse");
         assert_eq!(e.op, "trace_open");
+    }
+
+    /// A block declaring more instructions than the header's block
+    /// size — with a body that really holds them and valid checksums —
+    /// is refused by the reader and by the writer's recovery, before
+    /// anything is allocated for it.
+    #[test]
+    fn oversized_block_is_refused() {
+        let dir = temp_dir("oversized");
+        let path = dir.join("t.trace");
+        let block_instrs = 64u32;
+        let instrs = collect(&mut sample_source(3), block_instrs as usize + 1);
+        write_raw(
+            &path,
+            block_instrs,
+            &[block_record(&instrs), trailer_record(instrs.len() as u64)],
+        );
+        let e = TraceFile::open(&path).expect_err("reader must refuse");
+        assert_eq!(e.op, "trace_open");
+        assert!(e.reason.contains("outside 1..=64"), "{e}");
+        let e = TraceWriter::open(&path, block_instrs, "m").expect_err("writer must refuse");
+        assert_eq!(e.op, "trace_open");
+        assert!(e.reason.contains("outside 1..=64"), "{e}");
+
+        // A body size over 11 bytes per instruction, and a header over
+        // the format's block-size cap, are refused the same way.
+        let mut record = block_record(&instrs[..8]);
+        record[5..9].copy_from_slice(&89u32.to_le_bytes());
+        write_raw(&path, block_instrs, &[record, trailer_record(8)]);
+        let e = TraceFile::open(&path).expect_err("raw_len over the bound");
+        assert!(e.reason.contains("89-byte body"), "{e}");
+        write_raw(&path, MAX_BLOCK_INSTRS + 1, &[]);
+        assert!(TraceFile::open(&path).is_err());
+        assert!(TraceWriter::open(&path, MAX_BLOCK_INSTRS + 1, "m").is_err());
+    }
+
+    /// A block whose frame and LZ77 stream are sound but whose body
+    /// does not decode passes the index scan; the stream that reaches
+    /// it, from disk or from a slice buffer, ends and poisons the one
+    /// handle both were cut from.
+    #[test]
+    fn a_decode_error_poisons_the_shared_handle() {
+        let dir = temp_dir("poison");
+        let path = dir.join("t.trace");
+        let good = collect(&mut sample_source(4), 32);
+        let raw = vec![0xF0u8; 4];
+        let mut bad = vec![TAG_BLOCK];
+        bad.extend_from_slice(&4u32.to_le_bytes());
+        bad.extend_from_slice(&4u32.to_le_bytes());
+        bad.extend_from_slice(&pack::compress(&raw));
+        write_raw(&path, 32, &[block_record(&good), bad, trailer_record(36)]);
+
+        let trace = TraceFile::open(&path).expect("the scan does not decode");
+        let mut buffer = Arc::new(trace.slice_buffer());
+        Arc::make_mut(&mut buffer).fill(30, 6).expect("fill");
+        let mut replay = buffer.replay();
+        assert_eq!(replay.iter_instrs().count(), 2);
+        let e = trace.poisoned().expect("poisoned").clone();
+        assert_eq!(e.op, "trace_read");
+        assert!(e.reason.contains("unknown tag bits"), "{e}");
+
+        let mut stream = trace.stream(0, 36).expect("stream");
+        assert_eq!(stream.iter_instrs().count(), 32);
+        assert_eq!(stream.poisoned(), Some(&e));
+    }
+
+    /// Hostile block frames — valid ones truncated at random points,
+    /// with single bytes flipped, and random bytes — go through the
+    /// header bounds, the decompressor and the block decoder: each
+    /// returns `Ok` or `Err`, none panics, and no buffer grows past
+    /// what the bounded header allows.
+    #[test]
+    fn hostile_block_frames_never_panic_or_overallocate() {
+        let block_instrs = 256u32;
+        let raw_bound = MAX_INSTR_BYTES as usize * block_instrs as usize;
+        let mut rng = TraceRng::new(0x0b10_c4ed);
+        let mut src = sample_source(5);
+        let mut frames = Vec::new();
+        for _ in 0..24 {
+            let n = 1 + rng.below(u64::from(block_instrs)) as usize;
+            let record = block_record(&collect(&mut src, n));
+            let cut = rng.below(record.len() as u64 + 1) as usize;
+            frames.push(record[..cut].to_vec());
+            for _ in 0..8 {
+                let mut flipped = record.clone();
+                let at = rng.below(record.len() as u64) as usize;
+                flipped[at] ^= 1 << rng.below(8);
+                frames.push(flipped);
+            }
+            frames.push(record);
+            // Random bytes, and random bodies behind an in-bounds header.
+            let noise = |rng: &mut TraceRng| -> Vec<u8> {
+                (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect()
+            };
+            frames.push(noise(&mut rng));
+            let n = 1 + rng.below(u64::from(block_instrs)) as u32;
+            let raw_len = rng.below(MAX_INSTR_BYTES * u64::from(n) + 1) as u32;
+            let mut forged = vec![TAG_BLOCK];
+            forged.extend_from_slice(&n.to_le_bytes());
+            forged.extend_from_slice(&raw_len.to_le_bytes());
+            forged.extend(noise(&mut rng));
+            frames.push(forged);
+        }
+        let mut decoded_ok = 0;
+        for frame in &frames {
+            let Ok(block) = Block::parse(frame, block_instrs) else {
+                continue;
+            };
+            let mut raw = Vec::new();
+            let unpacked = pack::decompress_into(block.body, block.raw_len as usize, &mut raw);
+            assert!(raw.len() <= block.raw_len as usize);
+            assert!(raw.capacity() <= raw_bound, "{}", raw.capacity());
+            if unpacked.is_err() {
+                continue;
+            }
+            let mut instrs = Vec::new();
+            if decode_block_into(&raw, block.n_instrs as usize, &mut instrs).is_ok() {
+                decoded_ok += 1;
+            }
+            assert!(instrs.len() <= block.n_instrs as usize);
+            assert!(instrs.capacity() <= block_instrs as usize);
+        }
+        // The untouched frames still decode.
+        assert!(decoded_ok >= 24, "{decoded_ok}");
     }
 
     #[test]

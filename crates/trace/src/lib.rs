@@ -18,13 +18,16 @@
 //!   transport: region-based annotation of legacy traces.
 //! * [`file`](mod@file) — the on-disk trace format: WAL-framed, checksummed,
 //!   block-compressed, with annotations in-band; [`file::TraceWriter`]
-//!   journals generation durably (crash-resumable, byte-identical) and
-//!   [`file::FileSource`] streams finished traces block by block.
+//!   journals generation durably (crash-resumable, byte-identical),
+//!   [`file::TraceFile`] scans a finished trace once, and every stream
+//!   is cut from that handle: [`file::FileSource`] streams block by
+//!   block from disk, [`file::SliceBuffer`] reads a slice once for
+//!   several replays.
 //! * [`pack`] — the hand-rolled, dependency-free LZ77 block compressor
 //!   behind the file format.
 //! * [`bbv`] + [`simpoint`] — SimPoint-style phase sampling: interval
-//!   region-touch vectors, deterministic seeded k-means, and the
-//!   weighted [`simpoint::SliceReplay`] source.
+//!   region-touch vectors, deterministic seeded k-means, and weighted
+//!   representative [`simpoint::Slice`]s.
 //! * [`snippets`] — the three leaking code patterns of Figure 1
 //!   (secret-gated traversal, secret-strided traversal, secret-delayed
 //!   traversal), used by tests and examples to demonstrate action and

@@ -136,21 +136,30 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a token stream produced by [`compress`].
+/// Decompresses a token stream produced by [`compress`], appending the
+/// `expected_len` bytes it holds to `out`.
 ///
 /// `expected_len` is the exact decompressed size recorded by the block
-/// header; it bounds the allocation so a corrupt header cannot balloon
-/// memory, and any mismatch is an error.
+/// header, which readers bound before calling: `out` grows by at most
+/// that much, so a reused buffer allocates only when it must grow, and
+/// any mismatch is an error. Match distances reach back only into the
+/// bytes this call appends — blocks are self-contained.
 ///
 /// # Errors
 ///
 /// [`PackError`] on a truncated stream, a distance reaching before the
-/// start of the output, or a decompressed size differing from
-/// `expected_len`.
-pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>, PackError> {
-    let mut out = Vec::with_capacity(expected_len);
+/// start of the block, or a decompressed size differing from
+/// `expected_len`. `out` may then hold part of the block.
+pub fn decompress_into(
+    data: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), PackError> {
+    let start = out.len();
+    out.reserve(expected_len);
     let mut pos = 0usize;
     while pos < data.len() {
+        let produced = out.len() - start;
         let control = data[pos];
         pos += 1;
         if control < 0x80 {
@@ -158,7 +167,7 @@ pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>, PackError
             if pos + run > data.len() {
                 return Err(PackError::new("literal run past end of stream"));
             }
-            if out.len() + run > expected_len {
+            if produced + run > expected_len {
                 return Err(PackError::new("output exceeds declared block size"));
             }
             out.extend_from_slice(&data[pos..pos + run]);
@@ -170,31 +179,30 @@ pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>, PackError
             }
             let dist = u16::from_le_bytes([data[pos], data[pos + 1]]) as usize;
             pos += 2;
-            if dist == 0 || dist > out.len() {
+            if dist == 0 || dist > produced {
                 return Err(PackError::new(format!(
-                    "match distance {dist} outside the {} bytes produced",
-                    out.len()
+                    "match distance {dist} outside the {produced} bytes produced"
                 )));
             }
-            if out.len() + len > expected_len {
+            if produced + len > expected_len {
                 return Err(PackError::new("output exceeds declared block size"));
             }
             // Byte-by-byte so overlapping (RLE-style) matches replicate
             // bytes produced earlier in this same copy.
-            let start = out.len() - dist;
+            let from = out.len() - dist;
             for i in 0..len {
-                let byte = out[start + i];
+                let byte = out[from + i];
                 out.push(byte);
             }
         }
     }
-    if out.len() != expected_len {
+    let produced = out.len() - start;
+    if produced != expected_len {
         return Err(PackError::new(format!(
-            "decompressed {} bytes, block declared {expected_len}",
-            out.len()
+            "decompressed {produced} bytes, block declared {expected_len}"
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -202,10 +210,21 @@ mod tests {
     use super::*;
     use crate::synth::TraceRng;
 
+    fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>, PackError> {
+        let mut out = Vec::new();
+        decompress_into(data, expected_len, &mut out)?;
+        Ok(out)
+    }
+
     fn roundtrip(input: &[u8]) {
         let packed = compress(input);
         let unpacked = decompress(&packed, input.len()).expect("decompress");
         assert_eq!(unpacked, input);
+        // Appending after other bytes: distances stay inside the block.
+        let mut out = b"prefix".to_vec();
+        decompress_into(&packed, input.len(), &mut out).expect("append");
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], input);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! SimPoint-style phase sampling: deterministic k-means over interval
-//! vectors, weighted representative slices, and their replay source.
+//! vectors and weighted representative slices.
 //!
 //! Given the per-interval region-touch vectors from
 //! [`bbv`](crate::bbv), [`choose_slices`] clusters the intervals with a
@@ -8,16 +8,12 @@
 //! broken toward lower indices — no dependence on platform float
 //! quirks, hash order, or wall clock) and returns one representative
 //! [`Slice`] per cluster, weighted by cluster population. Replaying the
-//! slices through [`SliceReplay`] and combining per-slice statistics by
-//! weight estimates the full-trace result at a fraction of the
-//! simulated instructions — the `exp_scenarios` driver measures that
-//! estimation error explicitly.
+//! slices (through [`SliceBuffer`](crate::file::SliceBuffer), one read
+//! per slice) and combining per-slice statistics by weight estimates
+//! the full-trace result at a fraction of the simulated instructions —
+//! the `exp_scenarios` driver measures that estimation error
+//! explicitly.
 
-use std::path::Path;
-
-use crate::file::{FileSource, TraceFileError};
-use crate::instr::Instr;
-use crate::source::TraceSource;
 use crate::synth::TraceRng;
 
 /// Configuration for the phase sampler.
@@ -101,13 +97,14 @@ fn seed_centers(vectors: &[Vec<f64>], k: usize, rng: &mut TraceRng) -> Vec<Vec<f
             }
             chosen
         };
-        centers.push(vectors[pick].clone());
+        let center = vectors[pick].clone();
         for (i, v) in vectors.iter().enumerate() {
-            let d = d2(v, centers.last().expect("just pushed"));
+            let d = d2(v, &center);
             if d < nearest[i] {
                 nearest[i] = d;
             }
         }
+        centers.push(center);
     }
     centers
 }
@@ -147,7 +144,10 @@ pub fn choose_slices(
             best = Some((distortion, centers, assignment));
         }
     }
-    let (_, centers, assignment) = best.expect("restarts.max(1) ran at least once");
+    // `restarts.max(1)` ran at least once.
+    let Some((_, centers, assignment)) = best else {
+        return Vec::new();
+    };
 
     // Representative per non-empty cluster: member nearest the center,
     // ties to the lower interval index.
@@ -239,56 +239,11 @@ fn cluster(
     (centers, assignment)
 }
 
-/// Replays one weighted slice of an on-disk trace.
-///
-/// A thin wrapper over [`FileSource::open_slice`] that carries the
-/// slice's weight alongside the stream, so drivers can thread it into
-/// weighted statistics aggregation without bookkeeping on the side.
-#[derive(Debug)]
-pub struct SliceReplay {
-    inner: FileSource,
-    slice: Slice,
-}
-
-impl SliceReplay {
-    /// Opens `path` positioned at `slice`.
-    ///
-    /// # Errors
-    ///
-    /// As [`FileSource::open_slice`].
-    pub fn open(path: &Path, slice: Slice) -> Result<Self, TraceFileError> {
-        Ok(Self {
-            inner: FileSource::open_slice(path, slice.offset_instrs, slice.len_instrs)?,
-            slice,
-        })
-    }
-
-    /// The slice being replayed.
-    pub fn slice(&self) -> Slice {
-        self.slice
-    }
-
-    /// The slice's weight in the full-trace estimate.
-    pub fn weight(&self) -> f64 {
-        self.slice.weight
-    }
-
-    /// Propagates the underlying file source's poisoned state.
-    pub fn poisoned(&self) -> Option<&TraceFileError> {
-        self.inner.poisoned()
-    }
-}
-
-impl TraceSource for SliceReplay {
-    fn next_instr(&mut self) -> Option<Instr> {
-        self.inner.next_instr()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bbv::{interval_vectors, BbvConfig};
+    use crate::source::TraceSource;
     use crate::synth::{PhasedModel, WorkingSetConfig};
 
     fn phase_cfg(ws_kib: u64) -> WorkingSetConfig {

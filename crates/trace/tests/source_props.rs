@@ -113,7 +113,7 @@ fn combinator_stack(shape: u64, seed: u64) -> Box<dyn TraceSource> {
     }
 }
 
-/// The invariant `SliceReplay` correctness rests on: replaying any
+/// The invariant slice replay's correctness rests on: replaying any
 /// combinator stack from a `(seed, skip-offset)` pair — rebuild from
 /// the seed, discard `skip` instructions — yields a stream
 /// bit-identical to the corresponding suffix of the contiguous stream.
