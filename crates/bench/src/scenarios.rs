@@ -8,7 +8,8 @@
 //!    [`TraceWriter`] — every block goes through the durable WAL, so a
 //!    kill mid-generation (including under `UNTANGLE_FAULT_INJECT`)
 //!    leaves a valid prefix that [`generate_trace`] resumes to a
-//!    byte-identical file.
+//!    byte-identical file. A trace already finished with the sweep's
+//!    header is opened read-only, without the writer's recovery pass.
 //! 2. **Profile** the trace into interval vectors
 //!    ([`untangle_trace::bbv`]) and cluster them into weighted
 //!    representative slices ([`untangle_trace::simpoint`]).
@@ -206,6 +207,12 @@ pub fn trace_path(dir: &Path, scenario: &Scenario) -> PathBuf {
     dir.join(format!("{}.trace", scenario.name()))
 }
 
+/// The header metadata of a scenario's trace: the scenario identity and
+/// the sweep's trace length.
+fn trace_meta(scenario: &Scenario, settings: &SweepSettings) -> String {
+    format!("{} instrs={}", scenario.meta(), settings.trace_instrs)
+}
+
 /// Generates (or resumes, or validates) the scenario's trace file.
 ///
 /// Idempotent and crash-consistent: a fresh call generates the whole
@@ -227,7 +234,7 @@ pub fn generate_trace(
     settings: &SweepSettings,
 ) -> Result<PathBuf, UntangleError> {
     let path = trace_path(dir, scenario);
-    let meta = format!("{} instrs={}", scenario.meta(), settings.trace_instrs);
+    let meta = trace_meta(scenario, settings);
     let (mut writer, resume) =
         TraceWriter::open(&path, settings.block_instrs, &meta).map_err(trace_err)?;
     let already = match resume {
@@ -690,11 +697,12 @@ fn validate_scheme(
     })
 }
 
-/// Runs one scenario end to end: generate (or resume) the trace, open
-/// it once, pick slices, estimate every scheme, and — when `validate` —
-/// measure the estimates against full-trace references. Every stream
-/// is cut from the one [`TraceFile`] handle, and each slice is read
-/// from disk once for all schemes.
+/// Runs one scenario end to end: open the trace (generating or resuming
+/// it first when it is not finished with the sweep's settings), pick
+/// slices, estimate every scheme, and — when `validate` — measure the
+/// estimates against full-trace references. Every stream is cut from
+/// the one [`TraceFile`] handle, and each slice is read from disk once
+/// for all schemes.
 ///
 /// # Errors
 ///
@@ -706,8 +714,7 @@ pub fn evaluate_scenario(
     settings: &SweepSettings,
     validate: bool,
 ) -> Result<ScenarioResult, UntangleError> {
-    let path = generate_trace(trace_dir, scenario, settings)?;
-    let trace = TraceFile::open(&path).map_err(trace_err)?;
+    let trace = open_trace(trace_dir, scenario, settings)?;
     let slices = sample_trace(&trace, settings)?;
     if slices.is_empty() {
         return Err(UntangleError::InvalidConfig(format!(
@@ -731,6 +738,29 @@ pub fn evaluate_scenario(
         schemes,
         validation,
     })
+}
+
+/// Opens the scenario's trace read-only when it is finished with the
+/// sweep's header and length, so a rerun scans it once. Otherwise —
+/// missing, unfinished, torn or written under other settings — it goes
+/// through [`generate_trace`], which resumes or repairs it, or refuses
+/// a mismatched header, and then opens it.
+fn open_trace(
+    dir: &Path,
+    scenario: &Scenario,
+    settings: &SweepSettings,
+) -> Result<TraceFile, UntangleError> {
+    if let Ok(trace) = TraceFile::open(&trace_path(dir, scenario)) {
+        let info = trace.info();
+        if info.block_instrs == settings.block_instrs
+            && info.total_instrs == settings.trace_instrs
+            && info.meta == trace_meta(scenario, settings)
+        {
+            return Ok(trace);
+        }
+    }
+    let path = generate_trace(dir, scenario, settings)?;
+    TraceFile::open(&path).map_err(trace_err)
 }
 
 /// The fingerprint tying a scenario checkpoint to one exact sweep
@@ -957,7 +987,7 @@ mod tests {
         // Simulate a crashed generation: a partial file with only a
         // prefix of durable blocks, then resume through generate_trace.
         let dir2 = temp_dir("gen-resume");
-        let meta = format!("{} instrs={}", s.meta(), settings.trace_instrs);
+        let meta = trace_meta(&s, &settings);
         let path2 = trace_path(&dir2, &s);
         {
             let (mut w, resume) =
@@ -983,7 +1013,7 @@ mod tests {
         let settings = tiny_settings();
         let dir = temp_dir("gen-overlong");
         let s = scenario(1);
-        let meta = format!("{} instrs={}", s.meta(), settings.trace_instrs);
+        let meta = trace_meta(&s, &settings);
         {
             let path = trace_path(&dir, &s);
             let (mut w, _) = TraceWriter::open(&path, settings.block_instrs, &meta).expect("open");
@@ -1008,7 +1038,7 @@ mod tests {
         let slices = sample_trace(&trace, &settings).expect("sample");
         let estimates = estimate_schemes(&trace, &slices, &settings).expect("estimate");
 
-        // Flip one byte inside the last block's compressed body.
+        // Flip one byte inside the last block's body.
         let mut bytes = std::fs::read(&path).expect("read");
         let trailer_frame = 12 + 9;
         let at = bytes.len() - trailer_frame - 1;
@@ -1041,6 +1071,8 @@ mod tests {
             ..settings
         };
         let e = generate_trace(&dir, &s, &longer).expect_err("must reject");
+        assert!(e.to_string().contains("mismatch"), "{e}");
+        let e = evaluate_scenario(&dir, &s, &longer, false).expect_err("must reject");
         assert!(e.to_string().contains("mismatch"), "{e}");
     }
 

@@ -132,13 +132,13 @@ fn mix_checkpoint_bytes_are_pinned() {
 #[test]
 fn scenario_checkpoint_bytes_are_pinned() {
     let fingerprint = scenario_fingerprint_5();
-    assert_eq!(fingerprint, "2325e9e0fc7d611f");
+    assert_eq!(fingerprint, "eebcea63057ea938");
     let (name, bytes) = saved_bytes("scenario_pin", &scenario_result(), &fingerprint);
     assert_eq!(name, "scenario005.json");
     assert_eq!(bytes.len(), 590);
     assert_eq!(
         format!("{:016x}", untangle_durable::fnv1a(&bytes)),
-        "1619aa133b4d404a"
+        "47923295a2d7388d"
     );
 }
 

@@ -26,7 +26,7 @@ fn scenario_fingerprint_is_pinned() {
     assert_eq!(scenarios[3].id, 3);
     assert_eq!(
         scenario_fingerprint(&scenarios[3], &SweepSettings::smoke(), true),
-        "b7c9549aaee86660"
+        "77b5acc86eea8655"
     );
 }
 

@@ -63,7 +63,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -270,9 +270,6 @@ pub struct Registry {
     mode: ObsMode,
     state: Mutex<State>,
     sink: Mutex<Sink>,
-    /// Sink writes that found the state lock busy (observability's own
-    /// contention, kept out of the user-facing counter namespace).
-    contended: std::sync::atomic::AtomicU64,
 }
 
 impl Registry {
@@ -282,7 +279,6 @@ impl Registry {
             mode,
             state: Mutex::new(State::default()),
             sink: Mutex::new(Sink::Buffer(Vec::new())),
-            contended: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -308,7 +304,6 @@ impl Registry {
             mode,
             state: Mutex::new(State::default()),
             sink: Mutex::new(sink),
-            contended: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -323,20 +318,11 @@ impl Registry {
     }
 
     /// Locks the state, recovering from a poisoned mutex (every critical
-    /// section is a single map update, so the data is never torn) and
-    /// counting contended acquisitions.
+    /// section is a single map update, so the data is never torn).
     fn lock_state(&self) -> MutexGuard<'_, State> {
-        match self.state.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poison)) => poison.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                self.contended
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.state
-                    .lock()
-                    .unwrap_or_else(|poison| poison.into_inner())
-            }
-        }
+        self.state
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner())
     }
 
     fn lock_sink(&self) -> MutexGuard<'_, Sink> {

@@ -55,15 +55,12 @@ pub struct ServeConfig {
     /// Number of shards. Decision output is independent of this; only
     /// the fan-out width changes.
     pub shards: usize,
-    /// Record taint-audit logs per shard drain (the input to live
-    /// certification). Costs one thread-local capture per drain.
-    pub capture_audit: bool,
 }
 
 impl ServeConfig {
     /// The configuration whose domains decide like `runner`'s: the same
     /// scheme parameters, core width, starting size and delay-RNG base
-    /// seed, on one shard with audit capture on.
+    /// seed, on one shard.
     pub fn mirroring(runner: &RunnerConfig) -> Self {
         Self {
             params: runner.params.clone(),
@@ -71,7 +68,6 @@ impl ServeConfig {
             initial_partition: runner.initial_partition,
             seed: runner.seed,
             shards: 1,
-            capture_audit: true,
         }
     }
 
@@ -357,16 +353,20 @@ impl ServeEngine {
             let shard = self.shard_of(event.domain());
             queues[shard].push((idx, event.clone()));
         }
-        for (k, queue) in queues.iter().enumerate() {
-            obs::gauge_set(&format!("serve.shard{k}.queue_depth"), queue.len() as f64);
+        if obs::enabled() {
+            for (k, queue) in queues.iter().enumerate() {
+                obs::gauge_set(&format!("serve.shard{k}.queue_depth"), queue.len() as f64);
+            }
         }
 
         let mut lines = self.run_shards(queues);
-        for (k, shard) in self.shards.iter().enumerate() {
-            obs::gauge_set(
-                &format!("serve.shard{k}.domains"),
-                shard.domains.len() as f64,
-            );
+        if obs::enabled() {
+            for (k, shard) in self.shards.iter().enumerate() {
+                obs::gauge_set(
+                    &format!("serve.shard{k}.domains"),
+                    shard.domains.len() as f64,
+                );
+            }
         }
 
         // The deterministic merge: global ingest order, then sub-line
@@ -468,19 +468,16 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Drains one shard's queue, recording the taint audit when
-    /// configured. Runs on the shard's worker thread when there are
-    /// several shards; the audit capture is thread-local, so each
-    /// shard's log contains exactly its own domains' crossings.
+    /// Drains one shard's queue, recording its taint audit (the input
+    /// to live certification). Runs on the shard's worker thread when
+    /// there are several shards; the audit capture is thread-local, so
+    /// each shard's log contains exactly its own domains' crossings.
     fn drain(
         config: &ServeConfig,
         models: &HashMap<usize, AccountingMode>,
         shard: &mut Shard,
         queue: Vec<(u64, Event)>,
     ) -> Vec<Line> {
-        if !config.capture_audit {
-            return Self::drain_inner(config, models, shard, queue);
-        }
         let (lines, log) = audit::capture(|| Self::drain_inner(config, models, shard, queue));
         merge_audit(&mut shard.audit, log);
         lines

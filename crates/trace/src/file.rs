@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! header  "UTRC" + format version u32 LE + block_instrs u32 LE + meta (UTF-8)
-//! block   'B' + n_instrs u32 LE + raw_len u32 LE + LZ77-compressed body
+//! block   'B' + n_instrs u32 LE + body
 //! trailer 'E' + total_instrs u64 LE
 //! ```
 //!
@@ -16,14 +16,14 @@
 //! zigzag-varint *delta* of the cache-line index against the previous
 //! memory access — blocks are self-contained (the delta chain restarts
 //! at every block) so a reader can decode any block in isolation,
-//! which slice replay depends on. Bodies are squeezed by the
-//! hand-rolled [`pack`] compressor.
+//! which slice replay depends on. Bodies are stored as encoded, about
+//! 1.7 bytes per instruction on the scenario sweep's traces.
 //!
-//! The sizes a block header declares are what a reader allocates for
-//! the block, so every reader bounds them before reading the body:
-//! `1 ≤ n_instrs ≤ block_instrs ≤` [`MAX_BLOCK_INSTRS`], and `raw_len`
-//! at most 11 bytes per instruction (a tag byte plus a ten-byte
-//! varint).
+//! The instruction count a block header declares is what a reader
+//! allocates for the block, so every reader bounds it before decoding
+//! the body: `1 ≤ n_instrs ≤ block_instrs ≤` [`MAX_BLOCK_INSTRS`], and
+//! the body at most 11 bytes per instruction (a tag byte plus a
+//! ten-byte varint).
 //!
 //! # Crash-consistent generation
 //!
@@ -45,11 +45,12 @@
 //! that handle without rescanning, and every block a stream reads
 //! verifies its own frame checksum again:
 //!
-//! * [`TraceFile::stream`] reads from disk one block at a time, so a
-//!   full-trace pass holds one block whatever the trace's length;
+//! * [`TraceFile::stream`] reads from disk one block at a time and
+//!   decodes it from the frame it read, so a full-trace pass holds one
+//!   block whatever the trace's length;
 //! * [`SliceBuffer::fill`] reads the blocks covering one SimPoint slice
-//!   (see [`simpoint`](crate::simpoint)) once, decompressed, and
-//!   [`SliceBuffer::replay`] replays them from memory as often as
+//!   (see [`simpoint`](crate::simpoint)) once, keeping their bodies,
+//!   and [`SliceBuffer::replay`] replays them from memory as often as
 //!   needed — one read per slice for every scheme replaying it.
 //!
 //! Both feed one block decoder, which decodes into buffers each stream
@@ -66,15 +67,15 @@ use untangle_durable::DurableError;
 use untangle_obs as obs;
 
 use crate::instr::{Annotations, Instr, InstrKind, LineAddr, MemAccess, MemKind};
-use crate::pack;
 use crate::source::TraceSource;
 
 /// Magic bytes opening every trace-file header record.
 pub const MAGIC: [u8; 4] = *b"UTRC";
 /// On-disk format version; bump on any encoding change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Default instructions per block: small enough for cheap slice seeks,
-/// large enough that tag-byte streams compress well.
+/// large enough that the per-block frame and index entry stay a small
+/// share of the file.
 pub const DEFAULT_BLOCK_INSTRS: u32 = 4096;
 /// Most instructions per block a header may declare. It bounds what a
 /// reader allocates for one block (24 MiB of decoded instructions).
@@ -179,11 +180,10 @@ fn unzigzag(zz: u64) -> i64 {
     ((zz >> 1) as i64) ^ -((zz & 1) as i64)
 }
 
-/// Encodes a block body: one tag byte per instruction, plus a
+/// Appends a block body to `out`: one tag byte per instruction, plus a
 /// zigzag-varint line delta for memory instructions. The delta chain
 /// starts from line 0 at every block.
-fn encode_block(instrs: &[Instr]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(instrs.len() * 2);
+fn encode_block(instrs: &[Instr], out: &mut Vec<u8>) {
     let mut prev_line = 0u64;
     for instr in instrs {
         let mut tag = 0u8;
@@ -202,12 +202,22 @@ fn encode_block(instrs: &[Instr]) -> Vec<u8> {
                 }
                 out.push(tag);
                 let line = access.addr.line_index();
-                push_varint(&mut out, zigzag(line.wrapping_sub(prev_line) as i64));
+                push_varint(out, zigzag(line.wrapping_sub(prev_line) as i64));
                 prev_line = line;
             }
         }
     }
-    out
+}
+
+/// The block record holding `instrs`: the tag, the instruction count
+/// and the body.
+fn block_record(instrs: &[Instr]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(5 + instrs.len() * 2);
+    record.push(TAG_BLOCK);
+    // At most `MAX_BLOCK_INSTRS` instructions, so the count fits a u32.
+    record.extend_from_slice(&(instrs.len() as u32).to_le_bytes());
+    encode_block(instrs, &mut record);
+    record
 }
 
 /// Decodes a block body produced by [`encode_block`] into `out`,
@@ -294,42 +304,38 @@ fn parse_header(payload: &[u8]) -> Result<(u32, String), String> {
     Ok((block_instrs, meta))
 }
 
-/// A block record: its header, checked against the format bounds, and
-/// its compressed body.
+/// A block record: its instruction count, checked against the format
+/// bounds, and its encoded body.
 #[derive(Debug)]
 struct Block<'a> {
     n_instrs: u32,
-    raw_len: u32,
     body: &'a [u8],
 }
 
 impl<'a> Block<'a> {
     /// Parses a block record of a file with `block_instrs` instructions
-    /// per block. The two sizes it declares are what a reader allocates
-    /// for the block, so they are bounded here, before the body is
-    /// touched.
+    /// per block. The instruction count is what a reader allocates for
+    /// the block, so it is bounded here, and the body against it,
+    /// before the body is decoded.
     fn parse(record: &'a [u8], block_instrs: u32) -> Result<Self, String> {
-        if record.len() < 9 || record[0] != TAG_BLOCK {
+        if record.len() < 5 || record[0] != TAG_BLOCK {
             return Err("malformed block record".to_string());
         }
         let n_instrs = u32::from_le_bytes([record[1], record[2], record[3], record[4]]);
-        let raw_len = u32::from_le_bytes([record[5], record[6], record[7], record[8]]);
         if n_instrs == 0 || n_instrs > block_instrs {
             return Err(format!(
                 "block declares {n_instrs} instructions, outside 1..={block_instrs}"
             ));
         }
-        if u64::from(raw_len) > MAX_INSTR_BYTES * u64::from(n_instrs) {
+        let body = &record[5..];
+        if body.len() as u64 > MAX_INSTR_BYTES * u64::from(n_instrs) {
             return Err(format!(
-                "block declares a {raw_len}-byte body for {n_instrs} instructions, \
-                 over {MAX_INSTR_BYTES} bytes each"
+                "block holds a {}-byte body for {n_instrs} instructions, \
+                 over {MAX_INSTR_BYTES} bytes each",
+                body.len()
             ));
         }
-        Ok(Self {
-            n_instrs,
-            raw_len,
-            body: &record[9..],
-        })
+        Ok(Self { n_instrs, body })
     }
 }
 
@@ -530,14 +536,7 @@ impl TraceWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let raw = encode_block(&self.pending);
-        let packed = pack::compress(&raw);
-        let mut payload = Vec::with_capacity(9 + packed.len());
-        payload.push(TAG_BLOCK);
-        payload.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&packed);
-        self.wal.append(&payload)?;
+        self.wal.append(&block_record(&self.pending))?;
         self.durable_instrs += self.pending.len() as u64;
         self.pending.clear();
         obs::counter_add("trace.blocks_written", 1);
@@ -642,8 +641,8 @@ pub struct TraceFile {
 }
 
 impl TraceFile {
-    /// Opens and scans a finished trace file. Counted by the
-    /// `trace.index_scans` counter.
+    /// Opens and scans a finished trace file. Every scan of a file
+    /// that opens is counted by the `trace.index_scans` counter.
     ///
     /// # Errors
     ///
@@ -653,8 +652,8 @@ impl TraceFile {
     /// it with [`TraceWriter::open`]).
     pub fn open(path: &Path) -> Result<Self, TraceFileError> {
         let err = |reason: &dyn fmt::Display| TraceFileError::new(path, "trace_open", reason);
-        obs::counter_add("trace.index_scans", 1);
         let mut reader = FrameReader::open(path)?;
+        obs::counter_add("trace.index_scans", 1);
         let mut frame = Vec::new();
         if !reader.next_frame(&mut frame)? {
             return Err(err(&"empty file: no header record"));
@@ -730,7 +729,6 @@ impl TraceFile {
             feed: Feed::Disk {
                 reader: FrameReader::open(self.path())?,
                 frame: Vec::new(),
-                raw: Vec::new(),
             },
             next_block: span.first_block,
             current: Vec::new(),
@@ -746,7 +744,7 @@ impl TraceFile {
         SliceBuffer {
             trace: self.clone(),
             span: Span::default(),
-            raw: Vec::new(),
+            bodies: Vec::new(),
             blocks: Vec::new(),
             frame: Vec::new(),
         }
@@ -779,16 +777,15 @@ impl TraceFile {
         })
     }
 
-    /// Reads the block at `entry` from disk, verifying its frame
-    /// checksum and header again, and appends its decompressed body to
-    /// `raw`. Counted by the `trace.blocks_read` counter.
-    fn read_block(
+    /// Reads the block at `entry` from disk into `frame`, verifying its
+    /// frame checksum and header again, and returns its body. Counted
+    /// by the `trace.blocks_read` counter.
+    fn read_block<'f>(
         &self,
         reader: &mut FrameReader,
         entry: BlockEntry,
-        frame: &mut Vec<u8>,
-        raw: &mut Vec<u8>,
-    ) -> Result<(), TraceFileError> {
+        frame: &'f mut Vec<u8>,
+    ) -> Result<&'f [u8], TraceFileError> {
         let fail =
             |reason: &dyn fmt::Display| TraceFileError::new(self.path(), "trace_read", reason);
         reader
@@ -798,14 +795,13 @@ impl TraceFile {
         if block.n_instrs != entry.n_instrs {
             return Err(fail(&"block instruction count changed under us"));
         }
-        pack::decompress_into(block.body, block.raw_len as usize, raw).map_err(|e| fail(&e))?;
         obs::counter_add("trace.blocks_read", 1);
-        Ok(())
+        Ok(block.body)
     }
 }
 
 /// A block of a [`SliceBuffer`]: its instruction count and the byte
-/// range of its decompressed body.
+/// range of its body.
 #[derive(Debug, Clone, Copy)]
 struct SliceBlock {
     n_instrs: u32,
@@ -816,7 +812,7 @@ struct SliceBlock {
 /// One slice of a trace, read from disk once and replayed from memory.
 ///
 /// [`SliceBuffer::fill`] reads the blocks covering a slice — each frame
-/// checksum-verified, each body decompressed — into one buffer of about
+/// checksum-verified — and keeps their bodies in one buffer of about
 /// 1.7 bytes per instruction (the encoded form, not decoded
 /// instructions). [`SliceBuffer::replay`] cuts any number of streams
 /// from it, each decoding the same bodies through the one block
@@ -826,9 +822,8 @@ struct SliceBlock {
 pub struct SliceBuffer {
     trace: TraceFile,
     span: Span,
-    /// The decompressed bodies of the blocks covering `span`, back to
-    /// back.
-    raw: Vec<u8>,
+    /// The bodies of the blocks covering `span`, back to back.
+    bodies: Vec<u8>,
     blocks: Vec<SliceBlock>,
     /// Frame buffer reused across block reads.
     frame: Vec<u8>,
@@ -842,26 +837,26 @@ impl SliceBuffer {
     /// # Errors
     ///
     /// [`TraceFileError`] if `skip` lies past the end of the trace, or
-    /// a block cannot be read, fails its checksum or does not
-    /// decompress.
+    /// a block cannot be read, fails its checksum or declares a header
+    /// outside the format bounds.
     pub fn fill(&mut self, skip: u64, len: u64) -> Result<(), TraceFileError> {
         let span = self.trace.span(skip, len)?;
         // A fill that fails part-way leaves a buffer that replays nothing.
         self.span = Span::default();
-        self.raw.clear();
+        self.bodies.clear();
         self.blocks.clear();
         if span.len > 0 {
             // Instructions from the first block's start to the slice's end.
             let mut pending = span.skip_in_block as u64 + span.len;
             let mut reader = FrameReader::open(self.trace.path())?;
             for &entry in self.trace.index.blocks.iter().skip(span.first_block) {
-                let start = self.raw.len();
-                self.trace
-                    .read_block(&mut reader, entry, &mut self.frame, &mut self.raw)?;
+                let body = self.trace.read_block(&mut reader, entry, &mut self.frame)?;
+                let start = self.bodies.len();
+                self.bodies.extend_from_slice(body);
                 self.blocks.push(SliceBlock {
                     n_instrs: entry.n_instrs,
                     start,
-                    end: self.raw.len(),
+                    end: self.bodies.len(),
                 });
                 pending = pending.saturating_sub(u64::from(entry.n_instrs));
                 if pending == 0 {
@@ -890,12 +885,9 @@ impl SliceBuffer {
 /// Where a [`FileSource`] takes its block bodies from.
 #[derive(Debug)]
 enum Feed {
-    /// Block frames read from disk one at a time, into reused buffers.
-    Disk {
-        reader: FrameReader,
-        frame: Vec<u8>,
-        raw: Vec<u8>,
-    },
+    /// Block frames read from disk one at a time, into a reused buffer
+    /// the block is decoded from.
+    Disk { reader: FrameReader, frame: Vec<u8> },
     /// The bodies a [`SliceBuffer`] holds.
     Memory(Arc<SliceBuffer>),
 }
@@ -960,19 +952,17 @@ impl FileSource {
     /// Decodes the next block into `current`; `false` past the last.
     fn load_next_block(&mut self) -> Result<bool, TraceFileError> {
         let (body, n_instrs) = match &mut self.feed {
-            Feed::Disk { reader, frame, raw } => {
+            Feed::Disk { reader, frame } => {
                 let Some(&entry) = self.trace.index.blocks.get(self.next_block) else {
                     return Ok(false);
                 };
-                raw.clear();
-                self.trace.read_block(reader, entry, frame, raw)?;
-                (raw.as_slice(), entry.n_instrs)
+                (self.trace.read_block(reader, entry, frame)?, entry.n_instrs)
             }
             Feed::Memory(slice) => {
                 let Some(&block) = slice.blocks.get(self.next_block) else {
                     return Ok(false);
                 };
-                (&slice.raw[block.start..block.end], block.n_instrs)
+                (&slice.bodies[block.start..block.end], block.n_instrs)
             }
         };
         decode_block_into(body, n_instrs as usize, &mut self.current)
@@ -1045,16 +1035,6 @@ mod tests {
         (0..n).map(|_| src.next_instr().expect("instr")).collect()
     }
 
-    /// A block record as [`TraceWriter`] frames it.
-    fn block_record(instrs: &[Instr]) -> Vec<u8> {
-        let raw = encode_block(instrs);
-        let mut record = vec![TAG_BLOCK];
-        record.extend_from_slice(&(instrs.len() as u32).to_le_bytes());
-        record.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        record.extend_from_slice(&pack::compress(&raw));
-        record
-    }
-
     fn trailer_record(total: u64) -> Vec<u8> {
         let mut record = vec![TAG_TRAILER];
         record.extend_from_slice(&total.to_le_bytes());
@@ -1098,10 +1078,55 @@ mod tests {
     fn block_encode_decode_roundtrips() {
         let mut src = sample_source(11);
         let instrs = collect(&mut src, 5000);
-        let body = encode_block(&instrs);
+        let mut body = Vec::new();
+        encode_block(&instrs, &mut body);
         let mut decoded = vec![Instr::compute(); 3];
         decode_block_into(&body, instrs.len(), &mut decoded).expect("decode");
         assert_eq!(decoded, instrs);
+    }
+
+    /// The version-2 layout, byte for byte: a header record and the
+    /// block record of three instructions in a four-instruction block,
+    /// stored as encoded.
+    #[test]
+    fn block_record_bytes_are_pinned() {
+        let dir = temp_dir("pinned");
+        let path = dir.join("t.trace");
+        let instrs = [
+            Instr::compute().with_annotations(Annotations {
+                secret_data: false,
+                secret_ctrl: true,
+            }),
+            Instr::load(LineAddr::new(5)),
+            Instr::store(LineAddr::new(300)).with_annotations(Annotations {
+                secret_data: true,
+                secret_ctrl: false,
+            }),
+        ];
+        let (mut w, _) = TraceWriter::open(&path, 4, "m").expect("open");
+        for instr in instrs {
+            w.append(instr).expect("append");
+        }
+        assert_eq!(w.finish().expect("finish"), 3);
+
+        let mut reader = FrameReader::open(&path).expect("reader");
+        let mut frame = Vec::new();
+        assert!(reader.next_frame(&mut frame).expect("header"));
+        assert_eq!(frame, b"UTRC\x02\x00\x00\x00\x04\x00\x00\x00m");
+        assert!(reader.next_frame(&mut frame).expect("block"));
+        // Tag and n_instrs; a compute instruction (secret_ctrl); a load
+        // (line delta +5); a store (secret_data, line delta +295).
+        let block = [b'B', 3, 0, 0, 0, 0x08, 0x01, 0x0a, 0x07, 0xce, 0x04];
+        assert_eq!(frame, block);
+        assert!(reader.next_frame(&mut frame).expect("trailer"));
+        assert_eq!(frame, trailer_record(3));
+        assert!(!reader.next_frame(&mut frame).expect("end"));
+
+        let got: Vec<Instr> = FileSource::open(&path)
+            .expect("open")
+            .iter_instrs()
+            .collect();
+        assert_eq!(got, instrs);
     }
 
     #[test]
@@ -1295,32 +1320,30 @@ mod tests {
         assert_eq!(e.op, "trace_open");
         assert!(e.reason.contains("outside 1..=64"), "{e}");
 
-        // A body size over 11 bytes per instruction, and a header over
-        // the format's block-size cap, are refused the same way.
+        // A body over 11 bytes per instruction, and a header over the
+        // format's block-size cap, are refused the same way.
         let mut record = block_record(&instrs[..8]);
-        record[5..9].copy_from_slice(&89u32.to_le_bytes());
+        record.resize(5 + 89, 0);
         write_raw(&path, block_instrs, &[record, trailer_record(8)]);
-        let e = TraceFile::open(&path).expect_err("raw_len over the bound");
+        let e = TraceFile::open(&path).expect_err("body over the bound");
         assert!(e.reason.contains("89-byte body"), "{e}");
         write_raw(&path, MAX_BLOCK_INSTRS + 1, &[]);
         assert!(TraceFile::open(&path).is_err());
         assert!(TraceWriter::open(&path, MAX_BLOCK_INSTRS + 1, "m").is_err());
     }
 
-    /// A block whose frame and LZ77 stream are sound but whose body
-    /// does not decode passes the index scan; the stream that reaches
-    /// it, from disk or from a slice buffer, ends and poisons the one
-    /// handle both were cut from.
+    /// A block whose frame and header are sound but whose body does not
+    /// decode passes the index scan; the stream that reaches it, from
+    /// disk or from a slice buffer, ends and poisons the one handle both
+    /// were cut from.
     #[test]
     fn a_decode_error_poisons_the_shared_handle() {
         let dir = temp_dir("poison");
         let path = dir.join("t.trace");
         let good = collect(&mut sample_source(4), 32);
-        let raw = vec![0xF0u8; 4];
         let mut bad = vec![TAG_BLOCK];
         bad.extend_from_slice(&4u32.to_le_bytes());
-        bad.extend_from_slice(&4u32.to_le_bytes());
-        bad.extend_from_slice(&pack::compress(&raw));
+        bad.extend_from_slice(&[0xF0u8; 4]);
         write_raw(&path, 32, &[block_record(&good), bad, trailer_record(36)]);
 
         let trace = TraceFile::open(&path).expect("the scan does not decode");
@@ -1339,13 +1362,12 @@ mod tests {
 
     /// Hostile block frames — valid ones truncated at random points,
     /// with single bytes flipped, and random bytes — go through the
-    /// header bounds, the decompressor and the block decoder: each
-    /// returns `Ok` or `Err`, none panics, and no buffer grows past
-    /// what the bounded header allows.
+    /// header bounds and the block decoder: each returns `Ok` or `Err`,
+    /// none panics, and no buffer grows past what the bounded header
+    /// allows.
     #[test]
     fn hostile_block_frames_never_panic_or_overallocate() {
         let block_instrs = 256u32;
-        let raw_bound = MAX_INSTR_BYTES as usize * block_instrs as usize;
         let mut rng = TraceRng::new(0x0b10_c4ed);
         let mut src = sample_source(5);
         let mut frames = Vec::new();
@@ -1367,10 +1389,8 @@ mod tests {
             };
             frames.push(noise(&mut rng));
             let n = 1 + rng.below(u64::from(block_instrs)) as u32;
-            let raw_len = rng.below(MAX_INSTR_BYTES * u64::from(n) + 1) as u32;
             let mut forged = vec![TAG_BLOCK];
             forged.extend_from_slice(&n.to_le_bytes());
-            forged.extend_from_slice(&raw_len.to_le_bytes());
             forged.extend(noise(&mut rng));
             frames.push(forged);
         }
@@ -1379,15 +1399,9 @@ mod tests {
             let Ok(block) = Block::parse(frame, block_instrs) else {
                 continue;
             };
-            let mut raw = Vec::new();
-            let unpacked = pack::decompress_into(block.body, block.raw_len as usize, &mut raw);
-            assert!(raw.len() <= block.raw_len as usize);
-            assert!(raw.capacity() <= raw_bound, "{}", raw.capacity());
-            if unpacked.is_err() {
-                continue;
-            }
+            assert!(block.body.len() as u64 <= MAX_INSTR_BYTES * u64::from(block.n_instrs));
             let mut instrs = Vec::new();
-            if decode_block_into(&raw, block.n_instrs as usize, &mut instrs).is_ok() {
+            if decode_block_into(block.body, block.n_instrs as usize, &mut instrs).is_ok() {
                 decoded_ok += 1;
             }
             assert!(instrs.len() <= block.n_instrs as usize);
@@ -1398,7 +1412,7 @@ mod tests {
     }
 
     #[test]
-    fn compression_pays_for_itself() {
+    fn delta_varint_encoding_stays_under_four_bytes_per_instr() {
         let dir = temp_dir("ratio");
         let path = dir.join("t.trace");
         let n = 50_000u64;

@@ -17,14 +17,12 @@
 //! * [`annotate`] — §7's coarse (page-table-bit style) annotation
 //!   transport: region-based annotation of legacy traces.
 //! * [`file`](mod@file) — the on-disk trace format: WAL-framed, checksummed,
-//!   block-compressed, with annotations in-band; [`file::TraceWriter`]
-//!   journals generation durably (crash-resumable, byte-identical),
-//!   [`file::TraceFile`] scans a finished trace once, and every stream
-//!   is cut from that handle: [`file::FileSource`] streams block by
-//!   block from disk, [`file::SliceBuffer`] reads a slice once for
-//!   several replays.
-//! * [`pack`] — the hand-rolled, dependency-free LZ77 block compressor
-//!   behind the file format.
+//!   delta-varint-encoded blocks, with annotations in-band;
+//!   [`file::TraceWriter`] journals generation durably (crash-resumable,
+//!   byte-identical), [`file::TraceFile`] scans a finished trace once,
+//!   and every stream is cut from that handle: [`file::FileSource`]
+//!   streams block by block from disk, [`file::SliceBuffer`] reads a
+//!   slice once for several replays.
 //! * [`bbv`] + [`simpoint`] — SimPoint-style phase sampling: interval
 //!   region-touch vectors, deterministic seeded k-means, and weighted
 //!   representative [`simpoint::Slice`]s.
@@ -54,7 +52,6 @@ pub mod annotate;
 pub mod bbv;
 pub mod file;
 pub mod instr;
-pub mod pack;
 pub mod simpoint;
 pub mod snippets;
 pub mod source;
