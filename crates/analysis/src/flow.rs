@@ -627,7 +627,7 @@ impl<'a> Analyzer<'a> {
             }
             "atomic_write" if !is_macro => Some((SinkKind::Durable, "durable write")),
             "append_lines" if is_method => Some((SinkKind::Durable, "durable log append")),
-            "append"
+            "append" | "append_batch"
                 if receiver.map(|r| r.contains("wal") || r.contains("journal")) == Some(true) =>
             {
                 Some((SinkKind::Durable, "durable WAL append"))

@@ -1,8 +1,9 @@
 //! End-to-end checks for the `untangle-flow` analysis: the workspace
 //! itself must be clean modulo the checked-in baseline, and seeded
-//! violations — a secret reaching a decision commit without
-//! `declassify()`, and HashMap iteration feeding the serve output
-//! merge — must be caught with their full source→…→sink path chains.
+//! violations — a secret reaching a decision commit or a WAL append
+//! without `declassify()`, and HashMap iteration feeding the serve
+//! output merge — must be caught with their full source→…→sink path
+//! chains.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -117,6 +118,53 @@ pub fn step(core: &mut DecisionCore) {{
     );
     let findings = analyze_fixture("secret-legal", &[("crates/sim/src/runner.rs", &legal)]);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn seeded_secret_to_wal_append_is_caught_with_full_chain() {
+    // A journal-shaped module: a secret-labeled value is journaled
+    // through a helper, once per record and once as a batch.
+    for (call, receiver) in [
+        ("wal.append(record);", "wal"),
+        ("journal.append_batch(&[record]);", "journal"),
+    ] {
+        let journal = format!(
+            "\
+/// Durable journal sink.
+pub struct Wal;
+impl Wal {{
+    /// Appends one record.
+    pub fn append(&mut self, record: u64) {{ let _ = record; }}
+    /// Appends a batch of records.
+    pub fn append_batch(&mut self, records: &[u64]) {{ let _ = records; }}
+}}
+fn journal_event({receiver}: &mut Wal, record: u64) {{
+    {call}
+}}
+/// Journals a secret-labeled value WITHOUT declassifying it first.
+pub fn record_event({receiver}: &mut Wal) {{
+    let secret = Labeled::secret(7u64);
+    journal_event({receiver}, secret);
+}}
+"
+        );
+        let findings = analyze_fixture("wal", &[("crates/serve/src/durable.rs", &journal)]);
+        let secret: Vec<&Finding> = findings
+            .iter()
+            .filter(|f| f.rule == "secret-flow")
+            .collect();
+        assert_eq!(secret.len(), 1, "{call}: {findings:?}");
+        let chain: Vec<&str> = secret[0].chain.iter().map(|s| s.what.as_str()).collect();
+        assert_eq!(
+            chain,
+            [
+                "source: Labeled::secret",
+                "call: crates/serve/src/durable.rs::journal_event",
+                "sink: durable WAL append",
+            ],
+            "{call}: full source→call→sink path must be reported"
+        );
+    }
 }
 
 #[test]

@@ -5,11 +5,12 @@
 //! The pipeline per scenario (all deterministic, all resumable):
 //!
 //! 1. **Generate** the scenario's trace into `<out>/traces/` through
-//!    [`TraceWriter`] — every block goes through the durable WAL, so a
-//!    kill mid-generation (including under `UNTANGLE_FAULT_INJECT`)
-//!    leaves a valid prefix that [`generate_trace`] resumes to a
-//!    byte-identical file. A trace already finished with the sweep's
-//!    header is opened read-only, without the writer's recovery pass.
+//!    [`TraceWriter`] — blocks are committed to the durable WAL in
+//!    batches, so a kill mid-generation (including under
+//!    `UNTANGLE_FAULT_INJECT`) leaves a valid prefix that
+//!    [`generate_trace`] resumes to a byte-identical file. A trace
+//!    already finished with the sweep's header is opened read-only,
+//!    without the writer's recovery pass.
 //! 2. **Profile** the trace into interval vectors
 //!    ([`untangle_trace::bbv`]) and cluster them into weighted
 //!    representative slices ([`untangle_trace::simpoint`]).
@@ -50,7 +51,9 @@ use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::stats::{relative_error, stable_sum, weighted_mean};
 use untangle_trace::bbv::{interval_vectors, BbvConfig};
-use untangle_trace::file::{FileSource, TraceFile, TraceFileError, TraceWriter};
+use untangle_trace::file::{
+    FileSource, TraceFile, TraceFileError, TraceWriter, DEFAULT_BLOCK_INSTRS,
+};
 use untangle_trace::simpoint::{choose_slices, SimPointConfig, Slice};
 use untangle_trace::TraceSource;
 use untangle_workloads::scenario::{scenario_set, Scenario};
@@ -104,7 +107,7 @@ impl SweepSettings {
         Self {
             count: 120,
             trace_instrs: 2_400_000,
-            block_instrs: 4096,
+            block_instrs: DEFAULT_BLOCK_INSTRS,
             interval_instrs: 25_000,
             max_slices: 6,
             validate_every: 9,
@@ -943,7 +946,7 @@ pub fn summarize(results: &[Option<ScenarioResult>], settings: &SweepSettings) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use untangle_trace::file::Resume;
+    use untangle_durable::wal::FrameReader;
     use untangle_workloads::scenario::ScenarioClass;
 
     fn tiny_settings() -> SweepSettings {
@@ -984,19 +987,18 @@ mod tests {
         generate_trace(&dir, &s, &settings).expect("idempotent");
         assert_eq!(std::fs::read(&path).expect("bytes"), clean);
 
-        // Simulate a crashed generation: a partial file with only a
-        // prefix of durable blocks, then resume through generate_trace.
+        // Simulate a crashed generation: a crash leaves a byte prefix
+        // of the finished file — here the header, 4 whole blocks and a
+        // torn fifth — then resume through generate_trace.
         let dir2 = temp_dir("gen-resume");
-        let meta = trace_meta(&s, &settings);
         let path2 = trace_path(&dir2, &s);
-        {
-            let (mut w, resume) =
-                TraceWriter::open(&path2, settings.block_instrs, &meta).expect("open");
-            assert_eq!(resume, Resume::Fresh);
-            let mut src = s.source();
-            w.append_source(&mut src, 2_300).expect("partial append");
-            // Dropped without finish(): 4 durable blocks, no trailer.
+        let mut frames = FrameReader::open(&path).expect("frame open");
+        let mut frame = Vec::new();
+        for _ in 0..5 {
+            assert!(frames.next_frame(&mut frame).expect("frame"));
         }
+        let cut = frames.offset() as usize + 7;
+        std::fs::write(&path2, &clean[..cut]).expect("plant partial trace");
         generate_trace(&dir2, &s, &settings).expect("resume");
         assert_eq!(
             std::fs::read(&path2).expect("bytes"),
@@ -1018,7 +1020,11 @@ mod tests {
             let path = trace_path(&dir, &s);
             let (mut w, _) = TraceWriter::open(&path, settings.block_instrs, &meta).expect("open");
             w.append_source(&mut s.source(), 8_192).expect("append");
-            // Dropped without finish(): 16 durable blocks, no trailer.
+            w.finish().expect("finish");
+            // Strip the trailer frame (a 12-byte frame header and a
+            // 9-byte record): 16 durable blocks, no trailer.
+            let bytes = std::fs::read(&path).expect("read");
+            std::fs::write(&path, &bytes[..bytes.len() - (12 + 9)]).expect("strip trailer");
         }
         let e = generate_trace(&dir, &s, &settings).expect_err("must refuse");
         assert!(e.to_string().contains("8192"), "{e}");

@@ -140,11 +140,11 @@ fn every_kill_point_recovers_byte_identically() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Tiny scenario sweep: two traces, a handful of WAL block appends
-/// each, so the exhaustive kill-point enumeration (2 runs per durable
-/// write) stays in CI budget while still covering the trace header,
-/// mid-trace block frames, the finish frame, checkpoint saves, and the
-/// report write.
+/// Tiny scenario sweep: two traces, each a header write and one WAL
+/// batch of three blocks and the finish frame, so the exhaustive
+/// kill-point enumeration (2 runs per durable write) stays in CI
+/// budget while still covering the trace header, a batch torn
+/// mid-trace, checkpoint saves, and the report write.
 const SCENARIO_ARGS: &[&str] = &[
     "--smoke",
     "--count",

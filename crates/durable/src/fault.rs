@@ -13,10 +13,12 @@
 //!   by recovery, never parsed.
 //!
 //! `N` is 1-based and counts durable writes process-wide across every
-//! primitive ([`crate::wal::Wal::append`], [`crate::atomic::atomic_write`],
-//! [`crate::linelog::LineLog::append_lines`]), so a kill-point harness
-//! can sweep `N` to place a crash at every persistence boundary of a
-//! real binary. The abort is `std::process::abort` — no unwinding, no
+//! primitive: one per [`crate::wal::Wal::append_batch`] (a whole batch
+//! of records, one record for [`crate::wal::Wal::append`]), one per
+//! [`crate::atomic::atomic_write`] and one per
+//! [`crate::linelog::LineLog::append_lines`]. A kill-point harness can
+//! therefore sweep `N` to place a crash at every persistence boundary
+//! of a real binary. The abort is `std::process::abort` — no unwinding, no
 //! destructors, exactly what a crash leaves behind.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

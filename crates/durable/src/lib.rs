@@ -15,10 +15,11 @@
 //!   the new bytes, never a mix, and a completed rename implies the
 //!   data is on disk.
 //! * [`wal::Wal`] — a checksummed append-only write-ahead log with
-//!   per-record `[len u32 LE][fnv1a u64 LE][payload]` frames. Opening a
-//!   log recovers the longest valid prefix of records: a torn tail
-//!   (short frame, bad checksum) is *detected* and truncated to the
-//!   last complete record, never silently parsed.
+//!   per-record `[len u32 LE][fnv1a u64 LE][payload]` frames, appended
+//!   in batches of one `sync_all` each (group commit). Opening a log
+//!   recovers the longest valid prefix of records: a torn tail (short
+//!   frame, bad checksum) is *detected* and truncated to the last
+//!   complete record, never silently parsed.
 //! * [`slot::Slot`] — a *detectable* checkpoint: a single-value store
 //!   whose load distinguishes `Missing` / `Valid` / `Corrupt`. A
 //!   header carrying the payload length and checksum makes any
@@ -46,8 +47,9 @@
 //! # Observability
 //!
 //! The layer emits `durable.writes` (every durable write),
-//! `durable.wal_appends`, `durable.recoveries` (WAL opens that found
-//! an existing non-empty log), and `durable.torn_tails_truncated`.
+//! `durable.wal_appends` (records), `durable.wal_syncs` (committed WAL
+//! batches), `durable.recoveries` (WAL opens that found an existing
+//! non-empty log), and `durable.torn_tails_truncated`.
 
 pub mod atomic;
 pub mod fault;

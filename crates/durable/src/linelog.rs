@@ -15,6 +15,10 @@ use std::path::{Path, PathBuf};
 use crate::fault::{self, Injected};
 use crate::DurableError;
 
+/// Bytes [`LineLog::open`] reads per step of its backward scan for the
+/// last `\n`: recovery holds one chunk whatever the log's length.
+const SCAN_CHUNK: u64 = 8 << 10;
+
 /// An open line log positioned for appending.
 #[derive(Debug)]
 pub struct LineLog {
@@ -26,7 +30,9 @@ pub struct LineLog {
 impl LineLog {
     /// Opens (creating if missing) the log, truncating any torn final
     /// line. Returns the log and the recovered length in bytes — the
-    /// durable prefix of complete lines.
+    /// durable prefix of complete lines. The last `\n` is found by a
+    /// backward scan that holds one fixed-size chunk, whatever the
+    /// log's length.
     ///
     /// # Errors
     ///
@@ -40,13 +46,9 @@ impl LineLog {
             .truncate(false)
             .open(path)
             .map_err(|e| err(&e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(|e| err(&e))?;
-        let complete = match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(pos) => (pos + 1) as u64,
-            None => 0,
-        };
-        if complete < bytes.len() as u64 {
+        let len = file.metadata().map_err(|e| err(&e))?.len();
+        let complete = complete_prefix(&mut file, len).map_err(|e| err(&e))?;
+        if complete < len {
             file.set_len(complete).map_err(|e| err(&e))?;
             file.sync_all().map_err(|e| err(&e))?;
         }
@@ -125,6 +127,25 @@ impl LineLog {
     }
 }
 
+/// The length of the longest prefix of the `len`-byte `file` that ends
+/// in `\n` (0 if none does), found by reading backwards from the end
+/// one [`SCAN_CHUNK`] at a time.
+fn complete_prefix(file: &mut std::fs::File, len: u64) -> std::io::Result<u64> {
+    let mut chunk = vec![0u8; SCAN_CHUNK.min(len) as usize];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(SCAN_CHUNK);
+        let window = &mut chunk[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(window)?;
+        if let Some(pos) = window.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + pos as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +188,44 @@ mod tests {
         assert_eq!(recovered, 9);
         log.append_lines(&["next"]).expect("append after recovery");
         assert_eq!(std::fs::read(&path).expect("read"), b"complete\nnext\n");
+    }
+
+    #[test]
+    fn a_log_without_a_newline_truncates_to_zero() {
+        let path = temp_log("no-newline");
+        std::fs::write(&path, b"torn first line, never completed").expect("plant");
+        let (mut log, recovered) = LineLog::open(&path).expect("recover");
+        assert_eq!(recovered, 0);
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), 0);
+        log.append_lines(&["first"]).expect("append after recovery");
+        assert_eq!(std::fs::read(&path).expect("read"), b"first\n");
+    }
+
+    #[test]
+    fn the_last_newline_is_found_several_chunks_from_the_end() {
+        let path = temp_log("far-newline");
+        // Whole lines spanning more than one chunk, then a torn tail
+        // without a newline three and a half chunks long.
+        let line = "x".repeat(999);
+        let mut bytes = Vec::new();
+        while bytes.len() as u64 <= 2 * SCAN_CHUNK {
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
+        }
+        let complete = bytes.len() as u64;
+        bytes.resize(bytes.len() + (7 * SCAN_CHUNK / 2) as usize, b'y');
+        std::fs::write(&path, &bytes).expect("plant");
+
+        let (log, recovered) = LineLog::open(&path).expect("recover");
+        assert_eq!(recovered, complete);
+        assert_eq!(log.bytes(), complete);
+        assert_eq!(
+            std::fs::read(&path).expect("read"),
+            &bytes[..complete as usize]
+        );
+        // A clean log reopens to its full length.
+        drop(log);
+        assert_eq!(LineLog::open(&path).expect("reopen").1, complete);
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //! └────────────┴────────────────┴──────────────┘
 //! ```
 //!
-//! Appends write one frame and `sync_all` before returning, so a
-//! record returned from [`Wal::append`] is durable. A crash mid-append
-//! leaves a *torn tail*: a short header, a short payload, or a payload
-//! whose checksum does not match. [`Wal::open`] scans frames from the
-//! start and recovers the longest valid prefix — the torn tail is
-//! detected, counted (`durable.torn_tails_truncated`), and physically
-//! truncated so the log is append-ready again. A bit flip in a
-//! record's frame fails its checksum and truncates the log at that
-//! record; bytes before it are untouched. Recovery is idempotent:
+//! [`Wal::append_batch`] is group commit: it frames every record of
+//! the batch into one buffer, writes it with one `write_all` and calls
+//! `sync_all` once, so every record of a batch that returned is
+//! durable. [`Wal::append`] is the one-record batch. Frame bytes do not
+//! depend on how records were batched. A crash mid-batch leaves whole
+//! frames followed by a *torn tail*: a short header, a short payload,
+//! or a payload whose checksum does not match. [`Wal::open`] scans
+//! frames from the start and recovers the longest valid prefix — the
+//! torn tail is detected, counted (`durable.torn_tails_truncated`), and
+//! physically truncated so the log is append-ready again. A bit flip
+//! in a record's frame fails its checksum and truncates the log at
+//! that record; bytes before it are untouched. Recovery is idempotent:
 //! reopening a recovered log yields the same records and truncates
 //! nothing.
 
@@ -137,37 +140,62 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record and syncs it to disk. One durable write for
-    /// fault-injection purposes: `torn_write` persists a prefix of the
-    /// frame (and syncs it, so recovery really sees a torn tail) before
-    /// aborting.
+    /// Appends one record and syncs it to disk: the one-record
+    /// [`Wal::append_batch`].
     ///
     /// # Errors
     ///
-    /// [`DurableError`] with `op = "wal_append"` on IO failure.
+    /// As [`Wal::append_batch`].
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {
+        self.append_batch(&[payload])
+    }
+
+    /// Appends `payloads` as one batch: their frames go out in one
+    /// `write_all` followed by one `sync_all`, and the batch is one
+    /// durable write for fault-injection purposes — `torn_write`
+    /// persists a prefix of the whole batch (and syncs it, so recovery
+    /// really sees whole frames plus a torn tail) before aborting.
+    /// Every payload is checked against the record cap before a byte is
+    /// written; an empty batch writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError`] with `op = "wal_append"` if a payload exceeds
+    /// the record cap, or on IO failure.
+    pub fn append_batch<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<(), DurableError> {
         let err =
             |reason: &dyn std::fmt::Display| DurableError::new(&self.path, "wal_append", reason);
-        if payload.len() as u64 > MAX_RECORD as u64 {
-            return Err(err(&format!(
-                "record of {} bytes exceeds the {MAX_RECORD}-byte cap",
-                payload.len()
-            )));
+        if payloads.is_empty() {
+            return Ok(());
         }
-        let mut frame = Vec::with_capacity(HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut bytes = 0usize;
+        for (k, payload) in payloads.iter().enumerate() {
+            let len = payload.as_ref().len();
+            if len as u64 > MAX_RECORD as u64 {
+                return Err(err(&format!(
+                    "record {k} of the batch holds {len} bytes, over the {MAX_RECORD}-byte cap"
+                )));
+            }
+            bytes += HEADER + len;
+        }
+        let mut frames = Vec::with_capacity(bytes);
+        for payload in payloads {
+            let payload = payload.as_ref();
+            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frames.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            frames.extend_from_slice(payload);
+        }
 
-        let injected = fault::before_write(frame.len());
+        let injected = fault::before_write(frames.len());
         if let Injected::Torn { keep } = injected {
-            let _ = self.file.write_all(&frame[..keep]);
+            let _ = self.file.write_all(&frames[..keep]);
             let _ = self.file.sync_all();
             fault::abort_torn(keep);
         }
-        self.file.write_all(&frame).map_err(|e| err(&e))?;
+        self.file.write_all(&frames).map_err(|e| err(&e))?;
         self.file.sync_all().map_err(|e| err(&e))?;
-        obs::counter_add("durable.wal_appends", 1);
+        obs::counter_add("durable.wal_appends", payloads.len() as u64);
+        obs::counter_add("durable.wal_syncs", 1);
         Ok(())
     }
 

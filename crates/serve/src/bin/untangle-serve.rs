@@ -27,10 +27,11 @@
 //!   generate a synthetic event stream (fixture mode; mutually
 //!   exclusive with `--replay`).
 //! * `--out FILE` — write output lines to FILE instead of stdout.
-//! * `--wal DIR` — crash-consistent mode: journal events to `DIR`
-//!   before applying them and snapshot the engine periodically, so a
-//!   killed daemon restarted with the same flags recovers and finishes
-//!   a byte-identical `--out` stream. Requires `--replay` and `--out`;
+//! * `--wal DIR` — crash-consistent mode: journal each `--burst` chunk
+//!   of events to `DIR` as one batch (one fsync) before applying it
+//!   and snapshot the engine periodically, so a killed daemon
+//!   restarted with the same flags recovers and finishes a
+//!   byte-identical `--out` stream. Requires `--replay` and `--out`;
 //!   `--certify` is unsupported here (the decision stream is the
 //!   durable artifact).
 //! * `--snapshot-every N` — snapshot cadence in events for `--wal`

@@ -7,12 +7,14 @@
 //! [`DurableServer`] wraps a [`ServeEngine`] with three durable files:
 //!
 //! * `serve.wal` — a checksummed [`Wal`]. **Journal-before-apply**:
-//!   every event is appended (with its global ingest index) *before*
-//!   the engine sees it, so any event whose effects could have reached
-//!   the output log is recoverable from disk.
+//!   each chunk's events are appended (each with its global ingest
+//!   index) as one batch — one write, one `sync_all` — *before* the
+//!   engine sees any of them, so any event whose effects could have
+//!   reached the output log is recoverable from disk.
 //! * the output [`LineLog`] — the decision stream itself, appended one
 //!   chunk at a time after the chunk's events are journaled and
-//!   applied.
+//!   applied. That append acknowledges the chunk, so the chunk is the
+//!   commit unit of both files.
 //! * `snapshot.slot` — a [`Slot`] holding the engine serialization
 //!   ([`ServeEngine::snapshot_json`]) plus the output log's length at
 //!   snapshot time. Storing a snapshot is followed by [`Wal::reset`]:
@@ -28,10 +30,11 @@
 //! rewinds the output log to the snapshot's recorded offset and
 //! re-appends the regenerated lines. The rewrite is idempotent, so a
 //! crash *during recovery* recovers again to the same bytes. Because
-//! every journal record is written before its event is applied, a
-//! kill or torn write at **any** durability boundary recovers a
-//! byte-identical stream: a torn tail record was provably never
-//! applied, so truncating it loses nothing that was emitted.
+//! a chunk's whole batch is durable before any of its events is
+//! applied, a kill or torn write at **any** durability boundary
+//! recovers a byte-identical stream: a torn batch leaves whole records
+//! plus a torn tail, none of them applied yet, so truncating the tail
+//! loses nothing that was emitted and the whole records replay.
 //!
 //! # Fail-closed budgets
 //!
@@ -262,10 +265,11 @@ impl DurableServer {
         self.out.bytes()
     }
 
-    /// Journals, applies, and durably emits one chunk of events,
-    /// snapshotting when the cadence is due. Journal-before-apply is
-    /// the crash-consistency invariant: a record that is not fully on
-    /// disk has provably not influenced the engine or the output.
+    /// Journals one chunk of events as one WAL batch, applies it, and
+    /// durably emits its lines, snapshotting when the cadence is due.
+    /// Journal-before-apply is the crash-consistency invariant: no event
+    /// of the chunk reaches the engine or the output before the whole
+    /// batch is on disk.
     ///
     /// # Errors
     ///
@@ -275,11 +279,15 @@ impl DurableServer {
         if events.is_empty() {
             return Ok(());
         }
-        for (idx, event) in (self.engine.ingested()..).zip(events.iter()) {
-            let mut record = idx.to_le_bytes().to_vec();
-            record.extend_from_slice(event.render().as_bytes());
-            self.wal.append(&record).map_err(durable_err)?;
-        }
+        let records: Vec<Vec<u8>> = (self.engine.ingested()..)
+            .zip(events)
+            .map(|(idx, event)| {
+                let mut record = idx.to_le_bytes().to_vec();
+                record.extend_from_slice(event.render().as_bytes());
+                record
+            })
+            .collect();
+        self.wal.append_batch(&records).map_err(durable_err)?;
         let lines = self.engine.ingest(events)?;
         self.out.append_lines(&lines).map_err(durable_err)?;
         self.since_snapshot += events.len() as u64;
@@ -365,6 +373,7 @@ fn durable_err(e: DurableError) -> UntangleError {
 mod tests {
     use super::*;
     use crate::synth::{synth_events, SynthConfig};
+    use untangle_durable::wal::FrameReader;
 
     fn fresh_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -587,6 +596,56 @@ mod tests {
                 "domain {d} under-counted after fail-closed recovery"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_batch_of_an_unapplied_chunk_replays_its_whole_records() {
+        let events = fixture();
+        let (split, chunk) = (14, 7);
+        let dir = fresh_dir("tornbatch");
+        let out_path = dir.join("out.jsonl");
+        {
+            let (mut server, _) =
+                DurableServer::open(config(), &dir, &out_path, chunk, u64::MAX).expect("open");
+            server.ingest_chunk(&events[..split]).expect("chunk A");
+            server.snapshot().expect("snapshot after A");
+            let out_after_a = std::fs::read(&out_path).expect("read out");
+            server
+                .ingest_chunk(&events[split..split + chunk])
+                .expect("chunk B");
+            drop(server);
+            // A crash after B's journal batch and before B applied: the
+            // output log never saw B's lines.
+            std::fs::write(&out_path, out_after_a).expect("rewind out");
+        }
+
+        // Cut the journal five bytes into B's fourth frame: three whole
+        // records and a torn tail survive.
+        let wal_path = dir.join(WAL_FILE);
+        let mut reader = FrameReader::open(&wal_path).expect("frame open");
+        let mut ends = Vec::new();
+        let mut frame = Vec::new();
+        while reader.next_frame(&mut frame).expect("frame") {
+            ends.push(reader.offset());
+        }
+        assert_eq!(ends.len(), chunk, "the journal holds B's batch alone");
+        let whole = 3;
+        let bytes = std::fs::read(&wal_path).expect("read wal");
+        std::fs::write(&wal_path, &bytes[..ends[whole - 1] as usize + 5]).expect("cut wal");
+
+        let (mut server, recovery) =
+            DurableServer::open(config(), &dir, &out_path, chunk, u64::MAX).expect("recover");
+        assert_eq!(recovery.snapshotted, split as u64);
+        assert_eq!(recovery.replayed, whole);
+        assert_eq!(recovery.fail_closed_domains, 0);
+        server.serve(&events).expect("finish serving");
+        drop(server);
+        assert_eq!(
+            std::fs::read_to_string(&out_path).expect("read out"),
+            clean_output(&events),
+            "the finished stream must match the uninterrupted run"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,11 +7,12 @@
 //!
 //! * **Exhaustive enumeration** — a clean probe run reports how many
 //!   durable writes the daemon performs (the `durable.writes` obs
-//!   counter: WAL appends, output-log appends, snapshot stores), then
-//!   *every* write index is killed once per fault kind under
-//!   `UNTANGLE_FAULT_INJECT` (`kill_at_write:N` aborts before the Nth
-//!   write transfers a byte; `torn_write:N` persists a strict prefix of
-//!   it first) and the restarted daemon must converge to the baseline.
+//!   counter: one journal batch and one output-log append per chunk,
+//!   and snapshot stores), then *every* write index is killed once
+//!   per fault kind under `UNTANGLE_FAULT_INJECT` (`kill_at_write:N`
+//!   aborts before the Nth write transfers a byte; `torn_write:N`
+//!   persists a strict prefix of it first) and the restarted daemon
+//!   must converge to the baseline.
 //! * **Randomized chains** — at least 100 randomized samples (seeded by
 //!   `UNTANGLE_CRASH_SEED`, default fixed, echoed so a CI failure is
 //!   reproducible) each run a *chain* of up to three kills — crash,
@@ -75,20 +76,20 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Parses the `durable.writes` counter out of the obs summary table on
-/// stderr (`name  value` rows under `-- counters --`).
-fn durable_writes(stderr: &[u8]) -> u64 {
+/// Parses the counter `name` out of the obs summary table on stderr
+/// (`name  value` rows under `-- counters --`).
+fn counter(stderr: &[u8], name: &str) -> u64 {
     let text = String::from_utf8_lossy(stderr);
     text.lines()
         .filter_map(|line| {
             let mut parts = line.split_whitespace();
-            if parts.next()? != "durable.writes" {
+            if parts.next()? != name {
                 return None;
             }
             parts.next()?.parse().ok()
         })
         .next()
-        .unwrap_or_else(|| panic!("no durable.writes counter in stderr:\n{text}"))
+        .unwrap_or_else(|| panic!("no {name} counter in stderr:\n{text}"))
 }
 
 /// xorshift64 — deterministic sweep randomness, no dependencies.
@@ -141,10 +142,24 @@ fn every_kill_point_recovers_byte_identically() {
         baseline,
         "an uninterrupted durable run must match the plain engine"
     );
-    let writes = durable_writes(&clean.stderr);
+    let writes = counter(&clean.stderr, "durable.writes");
     assert!(
         writes >= 10,
         "expected a run with many durable writes, saw {writes}"
+    );
+    println!("clean durable run: {writes} durable writes");
+    // Group commit: one journal batch (one sync) per chunk, one record
+    // per event.
+    let burst: usize = BURST.parse().expect("burst");
+    assert_eq!(
+        counter(&clean.stderr, "durable.wal_syncs"),
+        events.len().div_ceil(burst) as u64,
+        "one journal sync per chunk"
+    );
+    assert_eq!(
+        counter(&clean.stderr, "durable.wal_appends"),
+        events.len() as u64,
+        "one journal record per event"
     );
 
     // A restart over completed state is an idempotent no-op.

@@ -27,15 +27,20 @@
 //!
 //! # Crash-consistent generation
 //!
-//! [`TraceWriter`] appends whole blocks through [`Wal::append`], so
-//! every block is durable (and fault-injectable via
-//! `UNTANGLE_FAULT_INJECT`) and a kill mid-generation leaves a valid
-//! prefix of blocks — [`TraceWriter::open`] reports how many
-//! instructions are already on disk, the caller fast-forwards its
+//! [`TraceWriter`] encodes whole blocks and stages them, committing the
+//! staged blocks through [`Wal::append_batch`] — one write and one
+//! `sync_all` — whenever they reach a fixed budget of about 256 KiB,
+//! and at [`TraceWriter::finish`] together with the trailer. Each batch
+//! is one durable write (fault-injectable via `UNTANGLE_FAULT_INJECT`),
+//! and a kill mid-generation leaves a valid prefix of blocks: the
+//! committed batches, plus the whole frames of a torn one. Staged
+//! blocks are lost with the process. [`TraceWriter::open`] reports how
+//! many instructions are on disk, the caller fast-forwards its
 //! deterministic generator by that count and continues. Because block
-//! boundaries are a pure function of the instruction stream, a resumed
-//! file is byte-identical to an uninterrupted one. A file without its
-//! trailer is *incomplete*: readers refuse it, writers resume it.
+//! boundaries are a pure function of the instruction stream and frame
+//! bytes do not depend on batching, a resumed file is byte-identical
+//! to an uninterrupted one. A file without its trailer is
+//! *incomplete*: readers refuse it, writers resume it.
 //!
 //! # Reading
 //!
@@ -405,13 +410,25 @@ pub enum Resume {
     },
 }
 
-/// Streams instructions into a trace file, block by durable block.
+/// Encoded block bytes a [`TraceWriter`] stages before committing them
+/// as one WAL batch: one `sync_all` covers many blocks, and the staged
+/// bytes stay bounded whatever the block size.
+const COMMIT_BYTES: usize = 256 << 10;
+
+/// Streams instructions into a trace file, block by block, committing
+/// the encoded blocks to disk in batches.
 #[derive(Debug)]
 pub struct TraceWriter {
     wal: Wal,
     block_instrs: u32,
     pending: Vec<Instr>,
-    /// Instructions durably appended (excludes `pending`).
+    /// Encoded block records not yet committed, oldest first.
+    staged: Vec<Vec<u8>>,
+    /// Bytes in `staged`.
+    staged_bytes: usize,
+    /// Instructions in `staged`.
+    staged_instrs: u64,
+    /// Instructions durably appended (excludes `pending` and `staged`).
     durable_instrs: u64,
     finished: bool,
 }
@@ -476,6 +493,9 @@ impl TraceWriter {
                 wal,
                 block_instrs,
                 pending: Vec::with_capacity(block_instrs as usize),
+                staged: Vec::new(),
+                staged_bytes: 0,
+                staged_instrs: 0,
                 durable_instrs: walk.total,
                 finished: matches!(resume, Resume::Complete { .. }),
             },
@@ -483,13 +503,15 @@ impl TraceWriter {
         ))
     }
 
-    /// Instructions durably on disk (buffered ones excluded).
+    /// Instructions durably on disk (buffered and staged ones
+    /// excluded).
     pub fn durable_instrs(&self) -> u64 {
         self.durable_instrs
     }
 
-    /// Appends one instruction, flushing a durable block whenever the
-    /// buffer reaches the configured block size.
+    /// Appends one instruction. Each full block is encoded and staged,
+    /// and the staged blocks are committed as one WAL batch once they
+    /// reach a fixed byte budget.
     ///
     /// # Errors
     ///
@@ -532,20 +554,38 @@ impl TraceWriter {
         Ok(appended)
     }
 
+    /// Encodes the buffered instructions as one block and stages it,
+    /// committing the staged blocks once they reach [`COMMIT_BYTES`].
     fn flush_block(&mut self) -> Result<(), TraceFileError> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        self.wal.append(&block_record(&self.pending))?;
-        self.durable_instrs += self.pending.len() as u64;
+        let record = block_record(&self.pending);
+        self.staged_bytes += record.len();
+        self.staged_instrs += self.pending.len() as u64;
+        self.staged.push(record);
         self.pending.clear();
         obs::counter_add("trace.blocks_written", 1);
+        if self.staged_bytes >= COMMIT_BYTES {
+            self.commit()?;
+        }
+        Ok(())
+    }
+
+    /// Appends the staged records to the file as one durable batch.
+    fn commit(&mut self) -> Result<(), TraceFileError> {
+        self.wal.append_batch(&self.staged)?;
+        self.durable_instrs += self.staged_instrs;
+        self.staged.clear();
+        self.staged_bytes = 0;
+        self.staged_instrs = 0;
         Ok(())
     }
 
     /// Flushes any partial final block and appends the trailer, sealing
-    /// the file. Idempotent on an already-finished file. Returns the
-    /// total instruction count.
+    /// the file: the trailer rides in the batch that commits the last
+    /// staged blocks. Idempotent on an already-finished file. Returns
+    /// the total instruction count.
     ///
     /// # Errors
     ///
@@ -555,10 +595,12 @@ impl TraceWriter {
             return Ok(self.durable_instrs);
         }
         self.flush_block()?;
+        let total = self.durable_instrs + self.staged_instrs;
         let mut payload = Vec::with_capacity(9);
         payload.push(TAG_TRAILER);
-        payload.extend_from_slice(&self.durable_instrs.to_le_bytes());
-        self.wal.append(&payload)?;
+        payload.extend_from_slice(&total.to_le_bytes());
+        self.staged.push(payload);
+        self.commit()?;
         self.finished = true;
         obs::counter_add("trace.files_finished", 1);
         Ok(self.durable_instrs)
@@ -1211,31 +1253,42 @@ mod tests {
         let dir = temp_dir("resume");
         let clean = dir.join("clean.trace");
         let resumed = dir.join("resumed.trace");
-        let total = 2000u64;
         let block = 300u32;
+
+        // "Crash" after the first committed batch: append until the
+        // staged blocks reach the commit budget, then 2.33 blocks more,
+        // and drop the writer without finish — the committed blocks
+        // survive, the two staged blocks and the 100 buffered
+        // instructions are lost.
+        let durable = {
+            let (mut w, resume) = TraceWriter::open(&resumed, block, "m").expect("open");
+            assert_eq!(resume, Resume::Fresh);
+            let mut gen = sample_source(9);
+            while w.durable_instrs() == 0 {
+                w.append(gen.next_instr().expect("instr")).expect("append");
+            }
+            let durable = w.durable_instrs();
+            w.append_source(&mut gen, 700).expect("append");
+            assert_eq!(w.durable_instrs(), durable, "staged blocks are not durable");
+            durable
+            // w dropped here without finish().
+        };
+        assert_eq!(durable % u64::from(block), 0);
+        let total = durable + 2000;
 
         let (mut w, _) = TraceWriter::open(&clean, block, "m").expect("open clean");
         let mut gen = sample_source(9);
         w.append_source(&mut gen, total).expect("append");
         w.finish().expect("finish");
 
-        // "Crash" after 2.33 blocks: append 700 instructions and drop
-        // the writer without finish — the two durable blocks survive,
-        // the 100 buffered instructions are lost.
-        {
-            let (mut w, resume) = TraceWriter::open(&resumed, block, "m").expect("open");
-            assert_eq!(resume, Resume::Fresh);
-            let mut gen = sample_source(9);
-            w.append_source(&mut gen, 700).expect("append");
-            // w dropped here without finish().
-        }
         let (mut w, resume) = TraceWriter::open(&resumed, block, "m").expect("reopen");
-        assert_eq!(resume, Resume::Partial { instrs: 600 });
+        assert_eq!(resume, Resume::Partial { instrs: durable });
         let mut gen = sample_source(9);
-        for _ in 0..600 {
+        for _ in 0..durable {
             gen.next_instr().expect("fast-forward");
         }
-        w.append_source(&mut gen, total - 600).expect("append rest");
+        w.append_source(&mut gen, total - durable)
+            .expect("append rest");
         w.finish().expect("finish");
 
         assert_eq!(
